@@ -6,8 +6,10 @@ storage node returns data for several normal I/Os they serialise on
 its NIC.  Two models are provided:
 
 ``SerialLink``
-    Transfers are served strictly one at a time (FIFO).  This matches
-    the g(D_N) = D_N / bw term exactly: n transfers of d bytes take
+    Transfers are served strictly one at a time, FIFO within a
+    priority class: small control payloads jump ahead of queued bulk
+    data, never the transfer in flight.  This matches the
+    g(D_N) = D_N / bw term exactly: n transfers of d bytes take
     n·d/bw total.
 
 ``FairShareLink``
@@ -157,20 +159,42 @@ class SerialLink(Link):
     def transfer(self, size: float, priority: int = 1) -> Event:
         if size < 0:
             raise ValueError(f"negative transfer size {size}")
-        done = self.env.event()
-        self.env.process(self._run(size, done, priority))
-        return done
+        return _Transfer(self, size, priority)
 
-    def _run(self, size: float, done: Event, priority: int = 1):
-        with self._pipe.request(priority=priority) as req:
-            yield req
-            self.utilization.update(self.env.now, 1.0)
-            bw = self.effective_bandwidth()
-            yield self.env.timeout(self.latency + size / bw)
-            self.bytes_transferred += size
-            if self._pipe.queue_length == 0:
-                self.utilization.update(self.env.now, 0.0)
-        done.succeed(size)
+
+class _Transfer(Event):
+    """One transfer on a :class:`SerialLink`; triggers on arrival.
+
+    Advanced by callbacks, not a process: the pipe grant draws the
+    bandwidth and arms the timeout, whose firing releases the pipe and
+    succeeds this event — the same grants, draws and pushes, in the
+    same order, as a process walking those steps.  The rate is fixed
+    at grant, so a later :meth:`Link.degrade` only slows transfers
+    granted after it.
+    """
+
+    __slots__ = ("link", "size", "grant")
+
+    def __init__(self, link: SerialLink, size: float, priority: int) -> None:
+        super().__init__(link.env)
+        self.link = link
+        self.size = size
+        self.grant = link._pipe.request(priority=priority)
+        self.grant.callbacks.append(self._granted)
+
+    def _granted(self, _grant: Event) -> None:
+        link = self.link
+        link.utilization.update(link.env.now, 1.0)
+        delay = link.latency + self.size / link.effective_bandwidth()
+        link.env.timeout(delay).callbacks.append(self._landed)
+
+    def _landed(self, _timeout: Event) -> None:
+        link = self.link
+        link.bytes_transferred += self.size
+        if link._pipe.queue_length == 0:
+            link.utilization.update(link.env.now, 0.0)
+        self.grant.cancel()
+        self.succeed(self.size)
 
 
 class _Flow:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.sim.engine import Environment
+from repro.sim.events import Timeout
 from repro.sim.exceptions import Failure, Interrupt
 from repro.sim.monitor import TimeWeightedStat
 from repro.sim.resources import Container, PriorityResource
@@ -202,9 +203,12 @@ class StorageNode(Node):
         super().__init__(env, name, spec)
         self.disk_bandwidth = spec.disk_bandwidth
 
-    def disk_read(self, nbytes: float) -> Generator:
-        """Read ``nbytes`` from local disk (yield from inside a process)."""
+    def disk_read(self, nbytes: float) -> Timeout:
+        """Read ``nbytes`` from local disk: an event that fires when done.
+
+        Its value is ``nbytes``.  Yield it inside a process or chain a
+        callback on it.
+        """
         if nbytes < 0:
             raise ValueError(f"negative byte count {nbytes}")
-        yield self.env.timeout(nbytes / self.disk_bandwidth)
-        return nbytes
+        return self.env.timeout(nbytes / self.disk_bandwidth, nbytes)

@@ -14,7 +14,7 @@ All client methods are *simulation processes*: drive them with
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Generator, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Generator, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf, Event
@@ -88,9 +88,7 @@ class PVFSClient:
             )
         parent = next(_parent_counter)
         # Per-server stripe pieces in logical order.
-        pieces_by_server: Dict[int, List] = {}
-        for piece in fh.layout.map_extent(offset, size):
-            pieces_by_server.setdefault(piece.server, []).append(piece)
+        pieces_by_server = fh.layout.extents_by_server(offset, size)
 
         requests: List[IORequest] = []
         for server_idx in sorted(pieces_by_server):
@@ -101,8 +99,8 @@ class PVFSClient:
                     parent_id=parent,
                     kind=kind,
                     fh=fh,
-                    offset=pieces[0].logical_offset,
-                    size=sum(p.length for p in pieces),
+                    offset=pieces[0][0],
+                    size=sum(length for _offset, length in pieces),
                     operation=operation,
                     client_name=self.node.name,
                     reply=self.env.event(),
@@ -110,9 +108,7 @@ class PVFSClient:
                     meta=dict(meta or {}),
                     resume_from=resume_from,
                     tenant=self.tenant,
-                    extents=tuple(
-                        (p.logical_offset, p.length) for p in pieces
-                    ),
+                    extents=tuple(pieces),
                 )
             )
         return requests
@@ -276,6 +272,10 @@ class PVFSClient:
         for request in requests:
             self.submit(request)
 
+        if len(requests) == 1:
+            # One server: wait on its reply itself, not a one-event AllOf.
+            reply: IOReply = yield requests[0].reply
+            return [reply]
         yield AllOf(self.env, [r.reply for r in requests])
         replies: List[IOReply] = [r.reply.value for r in requests]
         return replies

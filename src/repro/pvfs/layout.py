@@ -9,7 +9,7 @@ is property-tested (no byte lost, none duplicated).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -156,12 +156,40 @@ class StripeLayout:
             position += length
         return pieces
 
+    def extents_by_server(
+        self, offset: int, size: int
+    ) -> Dict[int, List[Tuple[int, int]]]:
+        """:meth:`map_extent`'s pieces grouped per server.
+
+        Each server's pieces come as ``(logical_offset, length)`` pairs
+        in logical order — the same pieces :meth:`map_extent` returns,
+        computed stripe by stripe without a :class:`StripeExtent` or a
+        :meth:`server_of` call per stripe.
+        """
+        if offset < 0:
+            raise ValueError(f"negative offset {offset}")
+        if size < 0:
+            raise ValueError(f"negative size {size}")
+        out: Dict[int, List[Tuple[int, int]]] = {}
+        end = offset + size
+        position = offset
+        index = offset // self.stripe_size
+        while position < end:
+            stop = min(end, (index + 1) * self.stripe_size)
+            slot = (self.first_server + index) % self.n_servers
+            out.setdefault(self.server_list[slot], []).append(
+                (position, stop - position)
+            )
+            position = stop
+            index += 1
+        return out
+
     def bytes_per_server(self, offset: int, size: int) -> Dict[int, int]:
         """Total bytes of the extent resident on each server."""
-        out: Dict[int, int] = {}
-        for piece in self.map_extent(offset, size):
-            out[piece.server] = out.get(piece.server, 0) + piece.length
-        return out
+        return {
+            server: sum(length for _offset, length in pieces)
+            for server, pieces in self.extents_by_server(offset, size).items()
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

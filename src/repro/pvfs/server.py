@@ -14,19 +14,22 @@ Contention Estimator's probe reads (n, k, D, D_A) from it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional, Protocol, Tuple
+from typing import Callable, Dict, Optional, Protocol, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.qos.admission import AdmissionController, AdmissionDecision
 from repro.sim.engine import Environment
 from repro.sim.events import Event, Timer
-from repro.sim.exceptions import Failure
-from repro.sim.process import Process
 from repro.cluster.config import ClusterConfig
 from repro.cluster.network import Link
 from repro.cluster.node import StorageNode
 from repro.pvfs.metadata import MetadataServer, PVFSError
 from repro.pvfs.requests import IOKind, IOReply, IORequest
+
+
+#: One service stage: started with the request's size, it returns the
+#: event that fires when the stage is done.
+_Stage = Callable[[float], Event]
 
 
 class ServerFault(PVFSError):
@@ -54,6 +57,46 @@ class ActiveHandler(Protocol):
 
     def submit(self, request: IORequest) -> None:
         """Accept one active request for processing or demotion."""
+
+
+class _Service:
+    """One normal read or write in service, advanced by event callbacks.
+
+    Each stage — the disk read, the link transfer — starts with the
+    request's size and returns the event it completes with; when that
+    fires the next stage starts, and after the last one the server
+    replies.  :meth:`cancel` — on a crash, a client cancel or a
+    deadline — stops the chain at the next stage boundary: a transfer
+    already handed to the link still drains, but nothing is delivered.
+    """
+
+    __slots__ = ("server", "request", "stages", "step", "live")
+
+    def __init__(
+        self, server: IOServer, request: IORequest, stages: Tuple[_Stage, ...]
+    ) -> None:
+        self.server = server
+        self.request = request
+        self.stages = stages
+        self.step = 0
+        self.live = True
+
+    def cancel(self) -> None:
+        """Stop before the next stage; idempotent."""
+        self.live = False
+
+    def advance(self, _event: Optional[Event] = None) -> None:
+        """Start the next stage, or reply after the last one."""
+        if not self.live:
+            return
+        if self.step == len(self.stages):
+            self.server._complete(self.request)
+            return
+        stage = self.stages[self.step]
+        self.step += 1
+        callbacks = stage(self.request.size).callbacks
+        assert callbacks is not None, "a stage returned a processed event"
+        callbacks.append(self.advance)
 
 
 class IOServer:
@@ -87,9 +130,17 @@ class IOServer:
         self._track = f"server:{node.name}"
         #: True while crashed: new requests are rejected.
         self.down = False
-        #: Serving process per rid for normal/write requests, so a
-        #: crash or client cancellation can interrupt them mid-service.
-        self._service: Dict[int, Process] = {}
+        #: Service handle per rid for normal/write requests, so a
+        #: crash, client cancel or deadline can stop them mid-service.
+        self._service: Dict[int, _Service] = {}
+        # Service stages per kind: a read leaves the disk (when
+        # modelled) before it crosses the NIC; a write crosses the NIC
+        # first and then lands on disk at the same cost.
+        disk: Tuple[_Stage, ...] = (node.disk_read,) if config.model_disk else ()
+        self._stages: Dict[IOKind, Tuple[_Stage, ...]] = {
+            IOKind.NORMAL: disk + (link.transfer,),
+            IOKind.WRITE: (link.transfer,) + disk,
+        }
         #: Armed deadline timer per rid (cancelled on any completion).
         self._deadline_timers: Dict[int, Timer] = {}
 
@@ -201,27 +252,25 @@ class IOServer:
                 queue=len(self.outstanding),
             )
 
-        if request.kind is IOKind.NORMAL:
-            self._service[request.rid] = self.env.process(self._serve_normal(request))
-        elif request.kind is IOKind.WRITE:
-            self._service[request.rid] = self.env.process(self._serve_write(request))
+        if request.kind is not IOKind.ACTIVE:
+            self._serve(request)
+        elif self.active_handler is None:
+            raise PVFSError(
+                f"server {self.node.name} received an active request but has "
+                "no active storage server attached"
+            )
         else:
-            if self.active_handler is None:
-                raise PVFSError(
-                    f"server {self.node.name} received an active request but has "
-                    "no active storage server attached"
-                )
             self.active_handler.submit(request)
 
     # -- failure hooks (see repro.faults) ------------------------------------
     def crash(self, cause: str = "node-crash") -> None:
         """Hard-fail the node: every queued request dies, intake stops.
 
-        In-flight normal/write service processes are interrupted, the
-        active handler (when attached) drops its queued and running
-        kernels, and every outstanding reply fails with
-        :class:`ServerCrashed` so clients learn immediately — matching
-        a connection reset from a dead peer.  Idempotent.
+        In-flight normal/write services are cancelled, the active
+        handler (when attached) drops its queued and running kernels,
+        and every outstanding reply fails with :class:`ServerCrashed`
+        so clients learn immediately — matching a connection reset
+        from a dead peer.  Idempotent.
         """
         if self.down:
             return
@@ -230,9 +279,8 @@ class IOServer:
         tr = self.env.tracer
         if tr.enabled:
             tr.instant(self.env.now, "server-crash", self._track, cause=cause)
-        for proc in list(self._service.values()):
-            if proc.is_alive and proc is not self.env.active_process:
-                proc.interrupt(cause, exc_type=Failure)
+        for service in self._service.values():
+            service.cancel()
         self._service.clear()
         handler = self.active_handler
         if handler is not None and hasattr(handler, "on_crash"):
@@ -287,9 +335,9 @@ class IOServer:
         timer = self._deadline_timers.pop(rid, None)
         if timer is not None:
             timer.cancel()
-        proc = self._service.pop(rid, None)
-        if proc is not None and proc.is_alive and proc is not self.env.active_process:
-            proc.interrupt("client-cancel", exc_type=Failure)
+        service = self._service.pop(rid, None)
+        if service is not None:
+            service.cancel()
         handler = self.active_handler
         if (
             request is not None
@@ -371,9 +419,9 @@ class IOServer:
         request = self.outstanding.pop(rid, None)
         if request is None:
             return
-        proc = self._service.pop(rid, None)
-        if proc is not None and proc.is_alive and proc is not self.env.active_process:
-            proc.interrupt("deadline", exc_type=Failure)
+        service = self._service.pop(rid, None)
+        if service is not None:
+            service.cancel()
         handler = self.active_handler
         if request.is_active and handler is not None and hasattr(handler, "abort"):
             handler.abort(rid)
@@ -392,55 +440,26 @@ class IOServer:
                 )
             )
 
-    # -- normal I/O path -----------------------------------------------------------
-    def _serve_normal(self, request: IORequest) -> Generator[Event, Any, None]:
+    # -- normal read / write path ------------------------------------------------
+    def _serve(self, request: IORequest) -> None:
+        """Start serving a normal read or a write (no process spawned)."""
         tr = self.env.tracer
         if tr.enabled:
             tr.instant(
-                self.env.now, "dispatch", self._track, rid=request.rid, mode="normal"
+                self.env.now,
+                "dispatch",
+                self._track,
+                rid=request.rid,
+                mode=request.kind.value,
             )
-        try:
-            if self.config.model_disk:
-                yield from self.node.disk_read(request.size)
-            yield self.link.transfer(request.size)
-        except Failure:
-            # Crash or cancellation mid-service: whoever interrupted us
-            # already removed the request and settled (or abandoned)
-            # the reply — just stop.
-            return
-        finally:
-            self._service.pop(request.rid, None)
-        reply = IOReply(
-            rid=request.rid,
-            completed=True,
-            result=request.size,
-            fh=request.fh,
-            offset=request.offset,
-            bytes_streamed=float(request.size),
-            demoted=False,
-            served_active=False,
-            finished_at=self.env.now,
-        )
-        self.finish(request, reply)
+        service = _Service(self, request, self._stages[request.kind])
+        self._service[request.rid] = service
+        service.advance()
 
-    # -- write path ------------------------------------------------------------------
-    def _serve_write(self, request: IORequest) -> Generator[Event, Any, None]:
-        """Ingest data: the transfer crosses the same NIC, then the
-        bytes land in the file's buffer (when one exists)."""
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.instant(
-                self.env.now, "dispatch", self._track, rid=request.rid, mode="write"
-            )
-        try:
-            yield self.link.transfer(request.size)
-            if self.config.model_disk:
-                yield from self.node.disk_read(request.size)  # symmetric cost
-        except Failure:
-            return
-        finally:
-            self._service.pop(request.rid, None)
-        if request.payload is not None:
+    def _complete(self, request: IORequest) -> None:
+        """Last stage done: store a write's bytes, then reply."""
+        self._service.pop(request.rid, None)
+        if request.kind is IOKind.WRITE and request.payload is not None:
             file = self.mds.lookup(request.fh.name)
             cursor = 0
             flat = request.payload.reshape(-1).view("uint8")

@@ -1,18 +1,25 @@
-"""Link models: serial FIFO and fluid fair sharing."""
+"""Link models: serial priority-FIFO and fluid fair sharing."""
+
+import random
 
 import pytest
 
 from repro.sim import Environment
+from repro.sim.events import Timer
 from repro.cluster import FairShareLink, SerialLink
 
 MB = 1024 * 1024
 
 
-def xfer(env, link, size, start=0.0):
+def xfer(env, link, size, start=0.0, priority=1, log=None, tag=None):
+    """Start one transfer at ``start``; the process returns its landing
+    time and, with ``log``, appends ``tag`` in landing order."""
     def proc(env):
         if start:
             yield env.timeout(start)
-        yield link.transfer(size)
+        yield link.transfer(size, priority=priority)
+        if log is not None:
+            log.append(tag)
         return env.now
     return env.process(proc(env))
 
@@ -90,6 +97,97 @@ class TestSerialLink:
         link = SerialLink(env, bandwidth=100.0)
         p = xfer(env, link, 0)
         assert env.run(until=p) == 0
+
+
+class TestSerialLinkSemantics:
+    """What SerialLink promises about order, faults and accounting."""
+
+    def test_control_overtakes_queued_bulk_not_in_flight(self, env):
+        link = SerialLink(env, bandwidth=100.0)
+        log = []
+        a = xfer(env, link, 100, log=log, tag="a")
+        b = xfer(env, link, 100, log=log, tag="b")
+        c = xfer(env, link, 100, log=log, tag="c")
+        # A 10 B control payload arrives while `a` is on the wire and
+        # `b`, `c` wait: it goes next, but `a` is not preempted.
+        ctl = xfer(env, link, 10, priority=0, start=0.5, log=log, tag="ctl")
+        env.run()
+        assert log == ["a", "ctl", "b", "c"]
+        assert a.value == pytest.approx(1.0)
+        assert ctl.value == pytest.approx(1.1)
+        assert b.value == pytest.approx(2.1)
+        assert c.value == pytest.approx(3.1)
+
+    def test_equal_priority_is_fifo(self, env):
+        link = SerialLink(env, bandwidth=100.0)
+        log = []
+        # Sizes chosen so any reordering would change the landing order.
+        for tag, size, at in [("a", 300, 0.0), ("b", 10, 0.0),
+                              ("c", 200, 0.5), ("d", 5, 1.0)]:
+            xfer(env, link, size, start=at, log=log, tag=tag)
+        env.run()
+        assert log == ["a", "b", "c", "d"]
+
+    def test_partition_drains_in_flight_and_heal_resumes(self, env):
+        link = SerialLink(env, bandwidth=100.0)
+        a = xfer(env, link, 100)
+        b = xfer(env, link, 100)
+        late = xfer(env, link, 100, start=2.0)
+        Timer(env, 0.5, link.partition)
+        Timer(env, 3.0, link.heal)
+        env.run()
+        assert a.value == pytest.approx(1.0)  # in flight: drains
+        assert b.value == pytest.approx(4.0)  # queued: waits for heal
+        assert late.value == pytest.approx(5.0)  # FIFO behind b
+        assert link.bytes_transferred == 300
+
+    def test_active_transfers_counts_in_flight_and_queued(self, env):
+        link = SerialLink(env, bandwidth=100.0)
+        seen = []
+        for _ in range(3):
+            xfer(env, link, 100)
+        for at in (0.5, 1.5, 2.5, 3.5):
+            Timer(env, at, lambda: seen.append(link.active_transfers))
+        env.run()
+        assert seen == [3, 2, 1, 0]
+
+    def test_jitter_draws_follow_grant_order(self, env):
+        link = SerialLink(env, bandwidth=100.0, jitter=0.1, seed=3)
+        log = []
+        a = xfer(env, link, 100, log=log, tag="a")
+        b = xfer(env, link, 100, log=log, tag="b")
+        ctl = xfer(env, link, 50, priority=0, start=0.1, log=log, tag="ctl")
+        env.run()
+        assert log == ["a", "ctl", "b"]
+        # Each grant draws the next rate from the link's seeded stream,
+        # so the draws are consumed in grant order: a, ctl, b.
+        rng = random.Random(3)
+        lo, hi = 100.0 * (1 - 0.1), 100.0 * (1 + 0.1)
+        t_a = 100 / rng.uniform(lo, hi)
+        t_ctl = t_a + 50 / rng.uniform(lo, hi)
+        t_b = t_ctl + 100 / rng.uniform(lo, hi)
+        assert a.value == pytest.approx(t_a, rel=1e-12)
+        assert ctl.value == pytest.approx(t_ctl, rel=1e-12)
+        assert b.value == pytest.approx(t_b, rel=1e-12)
+
+    def test_degrade_does_not_replan_in_flight(self, env):
+        link = SerialLink(env, bandwidth=100.0)
+        first = xfer(env, link, 100)
+        second = xfer(env, link, 100)
+        Timer(env, 0.5, lambda: link.degrade(0.5))
+        env.run()
+        # The rate is fixed at grant: the in-flight transfer still
+        # lands at 1.0; the next one is granted at the degraded rate.
+        assert first.value == pytest.approx(1.0)
+        assert second.value == pytest.approx(3.0)
+
+    def test_fair_share_link_replans_on_degrade(self, env):
+        link = FairShareLink(env, bandwidth=100.0)
+        p = xfer(env, link, 100)
+        Timer(env, 0.5, lambda: link.degrade(0.5))
+        env.run()
+        # 50 B by t=0.5, the other 50 B at 50 B/s.
+        assert p.value == pytest.approx(1.5)
 
 
 class TestFairShareLink:

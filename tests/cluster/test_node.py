@@ -170,7 +170,7 @@ class TestNodes:
         node = StorageNode(env, "sn0", NodeSpec(disk_bandwidth=100 * MB))
 
         def proc(env, node):
-            yield from node.disk_read(50 * MB)
+            yield node.disk_read(50 * MB)
             return env.now
 
         assert env.run(until=env.process(proc(env, node))) == pytest.approx(0.5)
@@ -178,4 +178,4 @@ class TestNodes:
     def test_disk_read_validation(self, env):
         node = StorageNode(env, "sn0", NodeSpec())
         with pytest.raises(ValueError):
-            list(node.disk_read(-1))
+            node.disk_read(-1)

@@ -96,3 +96,73 @@ def test_extent_partition_property(stripe_size, n_servers, offset,
 
     per_server = layout.bytes_per_server(offset, size)
     assert sum(per_server.values()) == size
+
+
+def _grouped_reference(layout, offset, size):
+    """map_extent's pieces grouped by server, in logical order."""
+    grouped = {}
+    for piece in layout.map_extent(offset, size):
+        grouped.setdefault(piece.server, []).append(
+            (piece.logical_offset, piece.length)
+        )
+    return grouped
+
+
+@st.composite
+def layouts(draw):
+    n_servers = draw(st.integers(min_value=1, max_value=8))
+    server_list = draw(st.one_of(
+        st.none(),
+        # Global indices, repeats allowed: two slots may share a server.
+        st.lists(st.integers(min_value=0, max_value=12),
+                 min_size=n_servers, max_size=n_servers),
+    ))
+    return StripeLayout(
+        stripe_size=draw(st.integers(min_value=1, max_value=1 << 16)),
+        n_servers=n_servers,
+        first_server=draw(st.integers(min_value=0, max_value=n_servers - 1)),
+        server_list=server_list,
+    )
+
+
+@given(
+    layout=layouts(),
+    offset=st.integers(min_value=0, max_value=1 << 30),
+    stripes_covered=st.integers(min_value=0, max_value=40),
+    tail=st.integers(min_value=0, max_value=1 << 16),
+    aligned=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_extents_by_server_matches_map_extent(layout, offset, stripes_covered,
+                                              tail, aligned):
+    if aligned:
+        offset -= offset % layout.stripe_size
+    size = min(stripes_covered * layout.stripe_size + tail,
+               60 * layout.stripe_size)
+    grouped = layout.extents_by_server(offset, size)
+    reference = _grouped_reference(layout, offset, size)
+    assert grouped == reference
+    # Same servers in the same first-touch order, not just the same dict.
+    assert list(grouped) == list(reference)
+    assert layout.bytes_per_server(offset, size) == {
+        server: sum(length for _off, length in pieces)
+        for server, pieces in reference.items()
+    }
+
+
+def test_extents_by_server_edges():
+    layout = StripeLayout(stripe_size=10, n_servers=2, first_server=1,
+                          server_list=[4, 7])
+    assert layout.extents_by_server(7, 0) == {}
+    assert layout.extents_by_server(3, 20) == {7: [(3, 7), (20, 3)],
+                                               4: [(10, 10)]}
+
+
+@pytest.mark.parametrize("offset, size", [(-1, 5), (0, -5), (-3, -3)])
+def test_extents_by_server_rejects_negative_extents(offset, size):
+    layout = StripeLayout(10, 2)
+    with pytest.raises(ValueError) as grouped_err:
+        layout.extents_by_server(offset, size)
+    with pytest.raises(ValueError) as reference_err:
+        layout.map_extent(offset, size)
+    assert str(grouped_err.value) == str(reference_err.value)

@@ -1,8 +1,10 @@
 """I/O server + client: normal path, queue stats, striping behaviour."""
 
+import numpy as np
 import pytest
 
 from repro.sim import Environment
+from repro.sim.events import Timer
 from repro.cluster import ClusterTopology, discfarm_config
 from repro.pvfs import (
     IOKind,
@@ -13,6 +15,7 @@ from repro.pvfs import (
     PVFSError,
 )
 from repro.pvfs.requests import next_request_id
+from repro.pvfs.server import DeadlineExceeded, ServerCrashed
 
 MB = 1024 * 1024
 
@@ -190,3 +193,109 @@ class TestServerBookkeeping:
         node = ComputeNode(env, "cn0", NodeSpec())
         with pytest.raises(PVFSError):
             PVFSClient(env, node, [], mds)
+
+
+class TestServiceLifecycle:
+    """Crash, client cancel and deadline stop a normal read or a write
+    mid-service: the typed failure (if any) arrives exactly once, the
+    server's service and deadline tables end empty, nothing finishes
+    late, and the link carries exactly the bytes already handed to it.
+    A request finishing unknown would raise out of ``env.run()``."""
+
+    SIZE = 2 * MB
+    WIRE = SIZE / (118 * MB)  # seconds on the NIC
+    DISK = SIZE / (500 * MB)  # seconds on the disk, when modelled
+
+    def start(self, kind=IOKind.NORMAL, deadline=None, payload=None, **cfg):
+        env, _topo, mds, servers = build(**cfg)
+        mds.create("/a", size=self.SIZE, writable=kind is IOKind.WRITE)
+        server = servers[0]
+        request = IORequest(
+            rid=next_request_id(), parent_id=0, kind=kind, fh=mds.open("/a"),
+            offset=0, size=self.SIZE, operation=None, client_name="cn0",
+            reply=env.event(), submitted_at=env.now, deadline=deadline,
+            payload=payload,
+        )
+        outcomes = []
+        request.reply.callbacks.append(outcomes.append)
+        request.reply.defuse()  # stands in for the waiting client
+        server.submit(request)
+        return env, mds, server, request, outcomes
+
+    @staticmethod
+    def assert_settled(server):
+        assert server._service == {}
+        assert server._deadline_timers == {}
+        assert server.monitor.get_counter("late_replies") == 0
+        assert server.monitor.get_counter("requests_completed") == 0
+
+    def test_crash_mid_transfer(self):
+        env, _mds, server, _request, outcomes = self.start()
+        Timer(env, self.WIRE / 2, server.crash)
+        env.run()
+        assert len(outcomes) == 1
+        assert isinstance(outcomes[0].value, ServerCrashed)
+        assert server.monitor.get_counter("requests_failed_crash") == 1
+        self.assert_settled(server)
+        assert server.link.bytes_transferred == self.SIZE  # in flight: drains
+
+    def test_client_cancel_mid_transfer(self):
+        env, _mds, server, request, outcomes = self.start()
+        cancelled = []
+        Timer(env, self.WIRE / 2,
+              lambda: cancelled.append(server.cancel(request.rid)))
+        env.run()
+        assert cancelled == [True]
+        assert outcomes == [] and not request.reply.triggered
+        assert server.monitor.get_counter("requests_cancelled") == 1
+        self.assert_settled(server)
+        assert server.link.bytes_transferred == self.SIZE
+
+    def test_deadline_expires_mid_transfer(self):
+        env, _mds, server, _request, outcomes = self.start(
+            deadline=self.WIRE / 2
+        )
+        env.run()
+        assert len(outcomes) == 1
+        assert isinstance(outcomes[0].value, DeadlineExceeded)
+        assert server.monitor.get_counter("deadline_expired") == 1
+        self.assert_settled(server)
+        assert server.link.bytes_transferred == self.SIZE
+
+    def test_deadline_expires_in_disk_stage(self):
+        env, _mds, server, _request, outcomes = self.start(
+            deadline=self.DISK / 2, model_disk=True
+        )
+        env.run()
+        assert len(outcomes) == 1
+        assert isinstance(outcomes[0].value, DeadlineExceeded)
+        self.assert_settled(server)
+        assert server.link.bytes_transferred == 0  # never reached the NIC
+
+    def test_interrupted_write_stores_nothing(self):
+        payload = np.arange(self.SIZE // 8, dtype=np.float64) + 1.0
+        env, mds, server, _request, outcomes = self.start(
+            kind=IOKind.WRITE, payload=payload
+        )
+        Timer(env, self.WIRE / 2, server.crash)
+        env.run()
+        assert len(outcomes) == 1
+        assert isinstance(outcomes[0].value, ServerCrashed)
+        self.assert_settled(server)
+        assert server.link.bytes_transferred == self.SIZE
+        stored = mds.lookup("/a").read_bytes_as_array(0, self.SIZE)
+        assert not stored.any()
+
+    def test_write_completes_into_the_file(self):
+        payload = np.arange(self.SIZE // 8, dtype=np.float64) + 1.0
+        env, mds, server, _request, outcomes = self.start(
+            kind=IOKind.WRITE, payload=payload, model_disk=True
+        )
+        env.run()
+        assert len(outcomes) == 1 and outcomes[0].value.completed
+        assert outcomes[0].value.finished_at == pytest.approx(
+            self.WIRE + self.DISK
+        )
+        assert server._service == {}
+        stored = mds.lookup("/a").read_bytes_as_array(0, self.SIZE)
+        assert np.array_equal(stored, payload)
