@@ -7,7 +7,7 @@ engine.
 
 Engine-facing benches run under both event schedulers (see
 :mod:`repro.sim.scheduler`) and record the variant plus the
-scheduler's queue statistics (max depth, compactions, resizes) in the
+scheduler's queue statistics (max depth, compactions, slot pairs) in the
 result JSON via ``benchmark.extra_info``, so a saved run states which
 data structure produced which numbers.
 """

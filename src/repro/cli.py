@@ -852,8 +852,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim-scheduler", choices=["calendar", "heap"],
                    default="calendar",
                    help="engine event scheduler (result-identical per "
-                        "seed; calendar is the amortized-O(1) default, "
-                        "heap the reference)")
+                        "seed; calendar, which batches events per "
+                        "timestamp, is the default, heap the reference)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="sweep request counts")

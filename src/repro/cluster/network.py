@@ -29,7 +29,6 @@ from typing import Dict, List, Optional
 
 from repro.sim.engine import Environment
 from repro.sim.events import Event
-from repro.sim.monitor import TimeWeightedStat
 from repro.sim.resources import PriorityResource, Resource
 
 
@@ -63,7 +62,6 @@ class Link:
         self._rng = random.Random(seed)
         #: Total bytes ever accepted for transfer.
         self.bytes_transferred = 0.0
-        self.utilization = TimeWeightedStat(env.now)
         #: Fault state: bandwidth multiplier in (0, 1] and hard cut-off.
         self._derate = 1.0
         self._partitioned = False
@@ -184,15 +182,12 @@ class _Transfer(Event):
 
     def _granted(self, _grant: Event) -> None:
         link = self.link
-        link.utilization.update(link.env.now, 1.0)
         delay = link.latency + self.size / link.effective_bandwidth()
         link.env.timeout(delay).callbacks.append(self._landed)
 
     def _landed(self, _timeout: Event) -> None:
         link = self.link
         link.bytes_transferred += self.size
-        if link._pipe.queue_length == 0:
-            link.utilization.update(link.env.now, 0.0)
         self.grant.cancel()
         self.succeed(self.size)
 
@@ -257,7 +252,6 @@ class FairShareLink(Link):
         self._advance()
         flow = _Flow(size, done, self.effective_bandwidth() / self.bandwidth)
         self._flows.append(flow)
-        self.utilization.update(self.env.now, 1.0)
         self._reschedule()
 
     # -- failure hooks -------------------------------------------------------
@@ -304,8 +298,6 @@ class FairShareLink(Link):
         for flow in finished:
             self._flows.remove(flow)
             flow.done.succeed()
-        if not self._flows:
-            self.utilization.update(now, 0.0)
 
     def _reschedule(self) -> None:
         """(Re)arm the wake-up for the earliest flow completion.

@@ -14,7 +14,7 @@ All client methods are *simulation processes*: drive them with
 from __future__ import annotations
 
 import itertools
-from typing import Any, Generator, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Generator, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf, Event
@@ -89,9 +89,12 @@ class PVFSClient:
         parent = next(_parent_counter)
         # Per-server stripe pieces in logical order.
         pieces_by_server = fh.layout.extents_by_server(offset, size)
+        # One server holds the whole extent: no order to fix, no sum.
+        single = len(pieces_by_server) == 1
+        order: Iterable[int] = pieces_by_server if single else sorted(pieces_by_server)
 
         requests: List[IORequest] = []
-        for server_idx in sorted(pieces_by_server):
+        for server_idx in order:
             pieces = pieces_by_server[server_idx]
             requests.append(
                 IORequest(
@@ -100,7 +103,7 @@ class PVFSClient:
                     kind=kind,
                     fh=fh,
                     offset=pieces[0][0],
-                    size=sum(length for _offset, length in pieces),
+                    size=size if single else sum(length for _o, length in pieces),
                     operation=operation,
                     client_name=self.node.name,
                     reply=self.env.event(),

@@ -170,10 +170,16 @@ class StripeLayout:
             raise ValueError(f"negative offset {offset}")
         if size < 0:
             raise ValueError(f"negative size {size}")
-        out: Dict[int, List[Tuple[int, int]]] = {}
         end = offset + size
-        position = offset
         index = offset // self.stripe_size
+        if end <= (index + 1) * self.stripe_size:
+            # Inside one stripe: most reads are a stripe or less.
+            if not size:
+                return {}
+            slot = (self.first_server + index) % self.n_servers
+            return {self.server_list[slot]: [(offset, size)]}
+        out: Dict[int, List[Tuple[int, int]]] = {}
+        position = offset
         while position < end:
             stop = min(end, (index + 1) * self.stripe_size)
             slot = (self.first_server + index) % self.n_servers

@@ -110,7 +110,7 @@ def read_extent_stream(
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
-@dataclass
+@dataclass(slots=True)
 class IORequest:
     """One per-server I/O request.
 
@@ -180,9 +180,14 @@ class IORequest:
             raise ValueError(f"negative request offset {self.offset}")
         if self.kind is IOKind.ACTIVE and not self.operation:
             raise ValueError("active requests need an operation name")
-        if not self.extents:
+        extents = self.extents
+        if not extents:
             self.extents = ((self.offset, self.size),)
-        total = sum(nbytes for _off, nbytes in self.extents)
+            return
+        if len(extents) == 1:
+            total = extents[0][1]
+        else:
+            total = sum(nbytes for _off, nbytes in extents)
         if total != self.size:
             raise ValueError(
                 f"extents cover {total} bytes but size says {self.size}"
@@ -200,7 +205,7 @@ class IORequest:
         return read_extent_stream(file, self.extents, start, length, dtype)
 
 
-@dataclass
+@dataclass(slots=True)
 class IOReply:
     """The paper's ``struct result`` (Table I) plus tracing fields.
 

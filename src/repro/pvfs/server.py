@@ -122,7 +122,13 @@ class IOServer:
         self.admission = admission
         self.active_handler: Optional[ActiveHandler] = None
         #: Accepted requests not yet replied — the Figure-1 I/O queue.
+        #: Only :meth:`_enqueue`, :meth:`_dequeue` and :meth:`crash`
+        #: change it, keeping the queue counters below in step.
         self.outstanding: Dict[int, IORequest] = {}
+        #: (k, D, D_A) of ``outstanding``, returned by :meth:`queue_stats`.
+        self._active_count = 0
+        self._queued_bytes = 0
+        self._active_bytes = 0
         #: Typed per-server instruments; ``monitor`` stays as an alias
         #: because older callers (and tests) use ``monitor.get_counter``.
         self.metrics = MetricsRegistry(now=lambda: env.now)
@@ -224,7 +230,7 @@ class IOServer:
                     )
                 )
                 return
-        self.outstanding[request.rid] = request
+        self._enqueue(request)
         if request.deadline is not None:
             self._deadline_timers[request.rid] = Timer(
                 self.env,
@@ -290,6 +296,7 @@ class IOServer:
         self._deadline_timers.clear()
         victims = list(self.outstanding.values())
         self.outstanding.clear()
+        self._active_count = self._queued_bytes = self._active_bytes = 0
         if victims:
             # Conservation counter: received = completed + cancelled +
             # failed_crash + deadline_expired + still-outstanding.
@@ -331,7 +338,7 @@ class IOServer:
         already defused and stopped listening on the reply event.
         Returns True if the request was still queued here.
         """
-        request = self.outstanding.pop(rid, None)
+        request = self._dequeue(rid)
         timer = self._deadline_timers.pop(rid, None)
         if timer is not None:
             timer.cancel()
@@ -416,7 +423,7 @@ class IOServer:
     def _expire(self, rid: int) -> None:
         """Deadline timer fired: cancel the work, fail the reply typed."""
         self._deadline_timers.pop(rid, None)
-        request = self.outstanding.pop(rid, None)
+        request = self._dequeue(rid)
         if request is None:
             return
         service = self._service.pop(rid, None)
@@ -487,7 +494,7 @@ class IOServer:
 
         Also the completion entry point for the active handler.
         """
-        if self.outstanding.pop(request.rid, None) is None:
+        if self._dequeue(request.rid) is None:
             if request.reply.triggered or request.reply.defused:
                 # Late completion of a request that crashed away, was
                 # answered through another path, or was abandoned by a
@@ -539,18 +546,33 @@ class IOServer:
         """(n, k, D, D_A) over outstanding requests — paper Table II.
 
         n: total queued requests; k: active among them; D: total
-        requested bytes; D_A: bytes requested by active I/Os.
+        requested bytes; D_A: bytes requested by active I/Os.  Read
+        from counters kept on every queue change, not by a scan.
         """
-        n = len(self.outstanding)
-        k = 0
-        total = 0.0
-        active = 0.0
-        for req in self.outstanding.values():
-            total += req.size
-            if req.is_active:
-                k += 1
-                active += req.size
-        return n, k, total, active
+        return (
+            len(self.outstanding),
+            self._active_count,
+            float(self._queued_bytes),
+            float(self._active_bytes),
+        )
+
+    def _enqueue(self, request: IORequest) -> None:
+        """Add ``request`` to ``outstanding`` and the queue counters."""
+        self.outstanding[request.rid] = request
+        self._queued_bytes += request.size
+        if request.is_active:
+            self._active_count += 1
+            self._active_bytes += request.size
+
+    def _dequeue(self, rid: int) -> Optional[IORequest]:
+        """Remove ``rid`` from ``outstanding`` and the queue counters."""
+        request = self.outstanding.pop(rid, None)
+        if request is not None:
+            self._queued_bytes -= request.size
+            if request.is_active:
+                self._active_count -= 1
+                self._active_bytes -= request.size
+        return request
 
     def queued_active_requests(self) -> list:
         """Outstanding active requests in shedding order.

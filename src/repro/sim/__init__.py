@@ -31,8 +31,8 @@ Public surface
     Statistics helpers.
 ``EventScheduler``, ``HeapScheduler``, ``CalendarScheduler``
     Pluggable pending-event schedulers (``Environment(scheduler=...)``)
-    — the calendar queue is the amortized-O(1) default, the binary
-    heap the reference; both give identical results per seed.
+    — the slotted timestamp queue is the default, the binary heap
+    the reference; both give identical results per seed.
 """
 
 from repro.sim.exceptions import Failure, Interrupt, SimulationError, StopProcess

@@ -53,9 +53,9 @@ class Environment:
         Starting value of the simulated clock (seconds by convention
         throughout this codebase).
     scheduler:
-        Pending-event scheduler: ``"calendar"`` (amortized O(1),
-        default) or ``"heap"`` (the reference binary heap).  Both
-        produce identical results per seed; see
+        Pending-event scheduler: ``"calendar"`` (slotted per
+        timestamp, default) or ``"heap"`` (the reference binary
+        heap).  Both produce identical results per seed; see
         :mod:`repro.sim.scheduler`.
     """
 

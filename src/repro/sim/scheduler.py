@@ -11,24 +11,21 @@ implementations:
 ``heap``
     The reference implementation: one binary heap of ``(when,
     priority, eid, event)`` tuples — exactly the historical engine
-    order, kept as the oracle the calendar queue is tested against.
+    order, kept as the oracle the calendar scheduler is tested against.
 
 ``calendar``
-    A calendar queue (Brown 1988) over *distinct timestamps* with
-    slotted same-timestamp batch execution.  All events sharing a
-    timestamp form one *slot*: a pair of urgent/normal FIFO queues in
-    insertion order — which **is** eid order, because event ids are
-    handed out monotonically and every push follows an id increment.
-    Enqueue is O(1): an event landing on the currently open slot
-    appends straight to it, bypassing the calendar entirely (the
-    common case — zero-delay triggers dominate scheme runs), while
-    future timestamps hash into unsorted bucket lists by
-    ``floor(when / width) % n_buckets``.  Dequeue is amortized O(1):
-    the open slot drains by ``popleft`` and the next slot is found by
-    the classic year-window bucket scan, falling back to a direct min
-    when the calendar is sparse.  The bucket array resizes (doubling /
-    halving, re-derived width) as the distinct-timestamp population
-    grows and shrinks.
+    A queue of *distinct timestamps* with slotted same-timestamp batch
+    execution.  All events sharing a timestamp form one *slot*: a pair
+    of urgent/normal FIFO queues in insertion order — which **is** eid
+    order, because event ids are handed out monotonically and every
+    push follows an id increment.  An event landing on the currently
+    open slot appends straight to it (the common case — zero-delay
+    triggers dominate scheme runs); an event at an already pending
+    timestamp appends to that slot through one dict lookup.  Only a
+    new timestamp pays a ``heappush`` onto the binary heap of pending
+    timestamps, and only opening a slot pays a ``heappop``, so the
+    heap's O(log n) is paid once per distinct timestamp, not per
+    event.
 
 Both schedulers produce the *identical* pop order for any push
 sequence — pinned by the ``tests/sim/test_scheduler.py`` property
@@ -50,7 +47,7 @@ order cannot leak into simulation behavior.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.sim.events import Event, PRIORITY_NORMAL, PRIORITY_URGENT
@@ -207,15 +204,14 @@ class HeapScheduler(EventScheduler):
 
 
 class CalendarScheduler(EventScheduler):
-    """Calendar queue over distinct timestamps with slotted batches.
+    """Binary heap of distinct timestamps with slotted batches.
 
     Structure: ``_groups`` maps each pending timestamp to its slot
-    pair (urgent deque, normal deque); ``_buckets`` holds the distinct
-    timestamps themselves, hashed by ``floor(when / width) %
-    n_buckets``.  The currently executing timestamp lives outside the
-    calendar in ``_cur_when`` / ``_cur_urgent`` / ``_cur_normal`` so
-    the two hot paths — push-at-now and pop-from-slot — touch no dict
-    and no bucket at all.
+    pair (urgent deque, normal deque); ``_times`` is a binary heap of
+    exactly those timestamps, one entry each.  The currently executing
+    timestamp lives outside both in ``_cur_when`` / ``_cur_urgent`` /
+    ``_cur_normal`` so the two hot paths — push-at-now and
+    pop-from-slot — touch no dict and no heap at all.
 
     Pop order: the open slot serves its urgent deque before its normal
     deque, re-checking urgent first on every pop so an URGENT event
@@ -228,9 +224,7 @@ class CalendarScheduler(EventScheduler):
 
     __slots__ = (
         "_groups",
-        "_buckets",
-        "_n_buckets",
-        "_width",
+        "_times",
         "_size",
         "_cur_when",
         "_cur_urgent",
@@ -238,23 +232,17 @@ class CalendarScheduler(EventScheduler):
         "_cur_pair",
         "_pool",
         "_dead",
-        "resizes",
     )
 
     name = "calendar"
-
-    #: Bucket-count floor; also the initial calendar size.
-    MIN_BUCKETS = 8
 
     def __init__(self, env: Any) -> None:
         super().__init__(env)
         #: Distinct timestamp -> (urgent deque, normal deque).
         self._groups: Dict[float, _SlotPair] = {}
-        #: Unsorted lists of the distinct timestamps, by bucket.
-        self._buckets: List[List[float]] = [[] for _ in range(self.MIN_BUCKETS)]
-        self._n_buckets = self.MIN_BUCKETS
-        self._width = 1.0
-        #: Events pending in the calendar (excludes the open slot).
+        #: Heap of the keys of ``_groups``.
+        self._times: List[float] = []
+        #: Events pending in ``_groups`` (excludes the open slot).
         self._size = 0
         #: The open slot: its timestamp and live deques.  ``-inf``
         #: means "no slot has ever opened" (also makes the push
@@ -265,7 +253,6 @@ class CalendarScheduler(EventScheduler):
         #: Recycles drained slot pairs (flyweight hot state).
         self._pool: FlyweightPool[_SlotPair] = FlyweightPool(_make_slot_pair)
         self._dead: Set[Event] = set()
-        self.resizes = 0
 
     # -- enqueue ----------------------------------------------------------
     def push(self, when: float, prio: int, event: Event) -> None:
@@ -273,7 +260,7 @@ class CalendarScheduler(EventScheduler):
         # (every historical eid increment preceded exactly one push),
         # so the tie-break comes for free.
         if when == self._cur_when:
-            # Fast path: lands on the open slot.  No bucket, no dict,
+            # Fast path: lands on the open slot.  No heap, no dict,
             # no size bookkeeping (the slot was already debited from
             # ``_size`` when it opened).
             if prio:
@@ -291,13 +278,7 @@ class CalendarScheduler(EventScheduler):
         if group is None:
             group = self._pool.take()
             groups[when] = group
-            n = self._n_buckets
-            # ``//`` floors like math.floor (negative-safe) without a
-            # function call; the same mapping is used at every bucket
-            # placement site.
-            self._buckets[int(when // self._width) % n].append(when)
-            if len(groups) > 2 * n:
-                self._resize(2 * n)
+            heappush(self._times, when)
         group[prio].append(event)
         self._size += 1
 
@@ -317,11 +298,13 @@ class CalendarScheduler(EventScheduler):
         return self._open_slot(stop)
 
     def _open_slot(self, stop: float) -> Optional[Event]:
-        if not self._groups:
+        times = self._times
+        if not times:
             return None
-        when = self._find_min()
+        when = times[0]
         if when >= stop:
             return None
+        heappop(times)
         # Queue-depth high-water mark, sampled once per distinct
         # timestamp instead of per push (events already drained from
         # the open slot are excluded — a stat, not an invariant).
@@ -329,7 +312,6 @@ class CalendarScheduler(EventScheduler):
             self.max_depth = self._size
         # Promote the earliest timestamp group to the open slot.
         group = self._groups.pop(when)
-        self._buckets[int(when // self._width) % self._n_buckets].remove(when)
         old_pair = self._cur_pair
         self._cur_when = when
         self._cur_pair = group
@@ -338,95 +320,20 @@ class CalendarScheduler(EventScheduler):
         # The previous slot's deques drained to empty; recycle them.
         self._pool.give(old_pair)
         self.env._now = when
-        if 4 * len(self._groups) < self._n_buckets and self._n_buckets > self.MIN_BUCKETS:
-            self._resize(max(self.MIN_BUCKETS, self._n_buckets // 2))
         urgent, normal = group
         if urgent:
             return urgent.popleft()
         return normal.popleft()
 
-    def _find_min(self) -> float:
-        """Earliest pending timestamp.
-
-        Classic calendar-queue search: scan buckets starting at the
-        one covering the last-opened timestamp, accepting the smallest
-        entry that still falls inside the bucket's current "year"
-        window.  If one full cycle finds nothing (the calendar is
-        sparse relative to the time horizon), fall back to a direct
-        min over the distinct timestamps — still cheap, as there is
-        one key per timestamp, not per event.
-        """
-        width = self._width
-        n = self._n_buckets
-        buckets = self._buckets
-        cur = self._cur_when
-        if cur == -Infinity:
-            return min(self._groups)
-        start = int(cur // width)
-        best = Infinity
-        for i in range(n):
-            bucket = buckets[(start + i) % n]
-            if not bucket:
-                continue
-            # Current-year membership must use the *same* floor
-            # division as bucket placement: deriving the year edge by
-            # multiplication ((start+i+1)*width) disagrees with
-            # ``when // width`` at bucket boundaries under floating
-            # point, silently excluding a timestamp from its own year
-            # and returning a later one — time runs backwards.
-            year = start + i
-            for when in bucket:
-                if when < best and when // width == year:
-                    best = when
-            if best < Infinity:
-                # Timestamps in later scan positions are strictly
-                # larger (floor division is monotonic), so the first
-                # in-year hit is the global minimum.
-                return best
-        return min(self._groups)
-
     def peek(self) -> float:
         if self._cur_urgent or self._cur_normal:
             return self._cur_when
-        if not self._groups:
-            return Infinity
-        return self._find_min()
+        return self._times[0] if self._times else Infinity
 
     def slot_blocked(self, stop: float) -> bool:
         return self._cur_when >= stop and bool(
             self._cur_urgent or self._cur_normal
         )
-
-    # -- resize -----------------------------------------------------------
-    def _resize(self, n_buckets: int) -> None:
-        """Rebuild the bucket array with ``n_buckets`` buckets.
-
-        Width is re-derived from the pending timestamp span so the
-        population spreads across roughly one bucket per distinct
-        timestamp; a degenerate span (single timestamp) keeps the
-        current width.  Only distinct timestamps move — events stay in
-        their group deques untouched — so a resize costs O(distinct
-        timestamps), not O(events).
-        """
-        groups = self._groups
-        if len(groups) > 1:
-            tmin = min(groups)
-            tmax = max(groups)
-            span = tmax - tmin
-            if span > 0.0:
-                width = span / len(groups)
-                # Guard against denormal-tiny widths that would make
-                # floor(when / width) overflow into huge ints.
-                if width < 1e-9:
-                    width = 1e-9
-                self._width = width
-        self._n_buckets = n_buckets
-        buckets: List[List[float]] = [[] for _ in range(n_buckets)]
-        width = self._width
-        for when in groups:
-            buckets[int(when // width) % n_buckets].append(when)
-        self._buckets = buckets
-        self.resizes += 1
 
     # -- lazy deletion ----------------------------------------------------
     def mark_dead(self, event: Event) -> None:
@@ -455,7 +362,7 @@ class CalendarScheduler(EventScheduler):
                 if len(kept) != len(queue):
                     queue.clear()
                     queue.extend(kept)
-        # Sweep the calendar groups; drop timestamps that empty out.
+        # Sweep the pending groups; drop timestamps that empty out.
         emptied = False
         removed = 0
         for group in self._groups.values():
@@ -475,18 +382,13 @@ class CalendarScheduler(EventScheduler):
                 emptied = True
         self._size -= removed
         if emptied:
-            survivors = {
+            self._groups = {
                 when: group
                 for when, group in self._groups.items()
                 if group[0] or group[1]
             }
-            self._groups = survivors
-            n = self._n_buckets
-            width = self._width
-            buckets: List[List[float]] = [[] for _ in range(n)]
-            for when in survivors:
-                buckets[int(when // width) % n].append(when)
-            self._buckets = buckets
+            self._times = list(self._groups)
+            heapify(self._times)
         # Anything still in the set was already popped naturally (and
         # processed) before the sweep; clearing wholesale keeps the
         # dead count honest for the next threshold check.
@@ -501,9 +403,6 @@ class CalendarScheduler(EventScheduler):
         base = super().stats()
         base.update(
             {
-                "resizes": self.resizes,
-                "n_buckets": self._n_buckets,
-                "bucket_width": self._width,
                 "slot_pairs_created": self._pool.created,
                 "slot_pairs_recycled": self._pool.recycled,
             }

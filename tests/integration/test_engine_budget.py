@@ -5,7 +5,9 @@ jitter off.  The work the point does is pinned exactly: server
 requests, demotions and makespan.  The engine overhead spent on that
 work — scheduler pushes and ``Process`` constructions — may only fall.
 When a change lowers a count, lower its budget to the new value in
-the same change; never raise a budget to admit a regression.
+the same change; never raise a budget to admit a regression.  The
+Contention Estimator's probes read the I/O queue's counters and never
+scan ``IOServer.outstanding``.
 """
 
 import pytest
@@ -32,14 +34,44 @@ MAKESPAN = 82.22372881356193
 #: Ceilings: engine overhead per run.
 PUSH_BUDGET = 8573  # 18821 while each normal read spawned two processes
 PROCESS_BUDGET = 10  # 4106 while each normal read spawned two processes
+#: Iterations over ``IOServer.outstanding`` and the records they visit
+#: (329 and 2222 while every probe scanned the queue).
+QUEUE_SCAN_BUDGET = 0
+
+
+class ScanCountingDict(dict):
+    """A dict that counts iterations over it and the records visited."""
+
+    def __init__(self, counts, items):
+        super().__init__(items)
+        self.counts = counts
+
+    def _count(self, records):
+        self.counts["queue_scans"] += 1
+        for record in records:
+            self.counts["queue_records"] += 1
+            yield record
+
+    def __iter__(self):
+        return self._count(super().__iter__())
+
+    def keys(self):
+        return self._count(super().keys())
+
+    def values(self):
+        return self._count(super().values())
+
+    def items(self):
+        return self._count(super().items())
 
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Count scheduler pushes and Process constructions."""
-    counts = {"pushes": 0, "processes": 0}
+    """Count scheduler pushes, Process constructions and queue scans."""
+    counts = {"pushes": 0, "processes": 0, "queue_scans": 0, "queue_records": 0}
     push = CalendarScheduler.push
     init = Process.__init__
+    server_init = IOServer.__init__
 
     def counting_push(self, when, prio, event):
         counts["pushes"] += 1
@@ -49,8 +81,13 @@ def counters(monkeypatch):
         counts["processes"] += 1
         init(self, env, generator)
 
+    def counting_server_init(self, *args, **kwargs):
+        server_init(self, *args, **kwargs)
+        self.outstanding = ScanCountingDict(counts, self.outstanding)
+
     monkeypatch.setattr(CalendarScheduler, "push", counting_push)
     monkeypatch.setattr(Process, "__init__", counting_init)
+    monkeypatch.setattr(IOServer, "__init__", counting_server_init)
     return counts
 
 
@@ -62,6 +99,8 @@ def test_fixed_point_work_is_exact_and_overhead_within_budget(counters):
     assert result.makespan == pytest.approx(MAKESPAN, rel=1e-12)
     assert counters["pushes"] <= PUSH_BUDGET
     assert counters["processes"] <= PROCESS_BUDGET
+    assert counters["queue_scans"] <= QUEUE_SCAN_BUDGET
+    assert counters["queue_records"] <= QUEUE_SCAN_BUDGET
 
 
 def test_bare_normal_read_spawns_no_process(counters):

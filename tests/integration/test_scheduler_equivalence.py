@@ -1,8 +1,8 @@
 """Same seed ⇒ byte-identical results, scheduler=heap vs calendar.
 
-The calendar queue is only allowed to change wall-clock speed, never
-results.  These tests serialize full scheme results and soak reports
-produced under both schedulers and require *byte* equality, across
+The calendar scheduler is only allowed to change wall-clock speed,
+never results.  These tests serialize full scheme results and soak
+reports produced under both schedulers and require *byte* equality, across
 the workload families the determinism suite covers: plain TS/AS/DOSAS,
 fault injection, straggler dispatch with hedged reads, and tenant
 runs.

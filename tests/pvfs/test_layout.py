@@ -156,6 +156,12 @@ def test_extents_by_server_edges():
     assert layout.extents_by_server(7, 0) == {}
     assert layout.extents_by_server(3, 20) == {7: [(3, 7), (20, 3)],
                                                4: [(10, 10)]}
+    # One stripe, up to and one byte past its end.
+    assert layout.extents_by_server(10, 10) == {4: [(10, 10)]}
+    assert layout.extents_by_server(13, 7) == {4: [(13, 7)]}
+    assert layout.extents_by_server(13, 8) == {4: [(13, 7)], 7: [(20, 1)]}
+    assert layout.extents_by_server(20, 0) == {}
+    assert layout.extents_by_server(0, 1) == {7: [(0, 1)]}
 
 
 @pytest.mark.parametrize("offset, size", [(-1, 5), (0, -5), (-3, -3)])

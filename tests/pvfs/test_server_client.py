@@ -14,7 +14,7 @@ from repro.pvfs import (
     PVFSClient,
     PVFSError,
 )
-from repro.pvfs.requests import next_request_id
+from repro.pvfs.requests import IOReply, next_request_id
 from repro.pvfs.server import DeadlineExceeded, ServerCrashed
 
 MB = 1024 * 1024
@@ -171,6 +171,33 @@ class TestServerBookkeeping:
             IORequest(rid=1, parent_id=0, kind=IOKind.NORMAL, fh=fh, offset=-1,
                       size=1, operation=None, client_name="c",
                       reply=env.event(), submitted_at=0.0)
+
+        def make(size, extents):
+            return IORequest(rid=1, parent_id=0, kind=IOKind.NORMAL, fh=fh,
+                             offset=0, size=size, operation=None,
+                             client_name="c", reply=env.event(),
+                             submitted_at=0.0, extents=extents)
+
+        assert make(5, ()).extents == ((0, 5),)
+        assert make(5, ((0, 5),)).size == 5
+        assert make(5, ((0, 2), (10, 3))).size == 5
+        for extents in [((0, 4),), ((0, 6),), ((0, 2), (10, 2))]:
+            with pytest.raises(ValueError, match="extents cover"):
+                make(5, extents)
+        with pytest.raises(ValueError, match="negative request size"):
+            make(-1, ((0, -1),))
+
+    def test_request_and_reply_are_slotted(self):
+        env, topo, mds, servers = build()
+        mds.create("/a", size=1 * MB)
+        request = IORequest(rid=1, parent_id=0, kind=IOKind.NORMAL,
+                            fh=mds.open("/a"), offset=0, size=1,
+                            operation=None, client_name="c",
+                            reply=env.event(), submitted_at=0.0)
+        for record in (request, IOReply(rid=1, completed=True)):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.not_a_field = 1
 
     def test_monitor_counts(self):
         env, topo, mds, servers = build()

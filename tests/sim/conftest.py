@@ -3,7 +3,7 @@
 The ``env`` fixture is parametrized over both event schedulers here
 (overriding the plain global one), so every engine/event/process/
 resource/store test in ``tests/sim`` runs twice — once against the
-calendar queue, once against the reference heap.  Any behavioral
+calendar scheduler, once against the reference heap.  Any behavioral
 divergence between the two fails the exact test that observes it.
 """
 

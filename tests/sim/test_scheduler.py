@@ -1,6 +1,6 @@
 """Heap-vs-calendar scheduler equivalence.
 
-The acceptance gate of the calendar-queue work: for any push
+The acceptance gate of the calendar scheduler: for any push
 sequence — mixed delays, priorities, cancellations, mid-dispatch
 same-timestamp pushes — the calendar scheduler must pop events in
 exactly the heap's ``(when, priority, eid)`` order.  These tests pin
@@ -23,6 +23,7 @@ from repro.sim import (
     make_event_scheduler,
 )
 from repro.sim.events import PRIORITY_NORMAL, PRIORITY_URGENT
+from repro.sim.scheduler import COMPACT_MIN_DEAD
 
 # A deliberately collision-heavy timestamp grid: ties at equal (when,
 # priority) are where ordering bugs live.
@@ -113,20 +114,19 @@ class TestRawOrderEquivalence:
             assert seen[1:] == normals, name
 
     def test_bucket_edge_timestamp_not_skipped(self):
-        """Regression: a timestamp on its bucket's upper edge.
+        """Regression: close timestamps pop in order, clock monotonic.
 
-        With width 7/24, ``6.125 // width`` floors into absolute
-        bucket 20 while ``21 * width`` rounds to exactly 6.125 — a
-        year-window test derived by multiplication excluded the
-        timestamp from its own year and returned a later one, making
-        simulated time run backwards.
+        The bucketed calendar this scheduler replaced once returned
+        6.5625 before 6.125 (the earlier timestamp sat on its bucket's
+        upper edge), so simulated time ran backwards.  The same pushes
+        must pop in timestamp order.
         """
         env = Environment(scheduler="calendar")
         sched = env.scheduler
-        sched._width = 0.2916666666666667  # repr(7 / 24)
         opener = Event(env)
         sched.push(6.0, PRIORITY_NORMAL, opener)
         assert sched.pop() is opener  # opens the slot: cur = 6.0
+        assert env.now == 6.0
         edge_case = Event(env)
         later = Event(env)
         sched.push(6.125, PRIORITY_NORMAL, edge_case)
@@ -134,6 +134,8 @@ class TestRawOrderEquivalence:
         assert sched.pop() is edge_case
         assert env.now == 6.125
         assert sched.pop() is later
+        assert env.now == 6.5625
+        assert sched.pop() is None
         assert env.now == 6.5625
 
     def test_calendar_rejects_unknown_priority(self):
@@ -192,8 +194,8 @@ class TestSimulationEquivalence:
         assert trace_h == trace_c
         assert all(label != "BOOM" for _, label in trace_h)
 
-    def test_many_distinct_timestamps_forces_resizes(self):
-        """Spread timestamps grow the calendar; order still matches."""
+    def test_many_distinct_timestamps_match_heap(self):
+        """600 pending distinct timestamps pop in the heap's order."""
 
         def model(env):
             seen = []
@@ -209,9 +211,43 @@ class TestSimulationEquivalence:
 
         env_c = Environment(scheduler="calendar")
         assert model(Environment(scheduler="heap")) == model(env_c)
-        stats = env_c.scheduler_stats()
-        assert stats["resizes"] > 0
-        assert stats["max_depth"] >= 600
+        assert env_c.scheduler_stats()["max_depth"] >= 600
+
+    def test_sweep_that_empties_a_timestamp_drops_it(self):
+        """Regression: a compaction sweep empties whole timestamps.
+
+        Every event at 1.0 and at 2.5 is a cancelled ``Timer``, so the
+        sweep leaves those timestamps without events.  They must leave
+        the timestamp heap too: a stale 1.0 would be ``peek()``'s
+        answer, and a stale 2.5 would be opened after 2.0.
+        """
+
+        def swept(name):
+            env = Environment(scheduler=name)
+            sched = env.scheduler
+            labels = {}
+            for when in (2.0, 3.0):
+                live = Event(env)
+                labels[live] = f"live@{when}"
+                sched.push(when, PRIORITY_NORMAL, live)
+            timers = [
+                Timer(env, 1.0 if i % 2 else 2.5, lambda: None)
+                for i in range(COMPACT_MIN_DEAD)
+            ]
+            for timer in timers:
+                timer.cancel()
+            assert sched.compactions == 1
+            observed = [sched.peek(), len(sched)]
+            while True:
+                event = sched.pop()
+                if event is None:
+                    break
+                observed.append((env.now, labels.get(event)))
+            return observed
+
+        calendar = swept("calendar")
+        assert calendar == swept("heap")
+        assert calendar == [2.0, 2, (2.0, "live@2.0"), (3.0, "live@3.0")]
 
 
 # -- selection / stats surface --------------------------------------------
