@@ -31,7 +31,6 @@ from repro.analysis.timeline import (
     render_gantt,
 )
 from repro.analysis.report import format_table, render_series
-from repro.analysis.soak import format_soak_report, soak_acceptance
 from repro.analysis.figures import (
     figure_series,
     bandwidth_figure,
@@ -51,7 +50,6 @@ __all__ = [
     "bandwidth_series",
     "figure_series",
     "format_critical_path_table",
-    "format_soak_report",
     "format_table",
     "headline_improvements",
     "improvement",
@@ -61,7 +59,6 @@ __all__ = [
     "render_chart",
     "render_gantt",
     "render_series",
-    "soak_acceptance",
     "speedup",
     "summarize_fault_run",
     "summarize_run",

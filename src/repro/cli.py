@@ -215,7 +215,8 @@ def cmd_run(args, out=None) -> int:
     if getattr(args, "tenants", None):
         if getattr(args, "faults", None):
             print("error: --tenants and --faults cannot be combined "
-                  "(use 'repro soak --tenants' for tenants under faults)",
+                  "(run 'repro scenario run kitchen-sink-chaos' for "
+                  "tenants under faults)",
                   file=sys.stderr)
             return 2
         try:
@@ -242,8 +243,8 @@ def cmd_run(args, out=None) -> int:
         # Tenant-denied work recovers through the retry machinery, so
         # policed runs always arm a patient policy and an effectively
         # boundless budget — fairness, not fault tolerance, is shown.
-        from repro.core.asc import RetryPolicy
         from repro.qos import QoSConfig
+        from repro.scenario.compile import PATIENT_RETRY
 
         qos = QoSConfig(
             max_queue_depth=8 * max(1, spec.total_requests // spec.n_storage),
@@ -251,8 +252,7 @@ def cmd_run(args, out=None) -> int:
             retry_budget=None,
             tenant_borrow=not args.no_borrow,
         )
-        retry = RetryPolicy(timeout=60.0, max_retries=24, backoff_base=0.25,
-                            backoff_factor=2.0, backoff_cap=2.0)
+        retry = PATIENT_RETRY
     schemes = [Scheme(args.scheme)] if getattr(args, "scheme", None) \
         else list(Scheme)
     trace_path = getattr(args, "trace", None)
@@ -575,75 +575,6 @@ def _resolve_scenario(ref: str):
     )
 
 
-def cmd_soak(args, out=None) -> int:
-    """Chaos-soak the overload-protection stack; exit 1 on violations.
-
-    ``--scenario`` accepts the native ``chaos`` label, a built-in
-    scenario name, or a YAML/JSON scenario file — scenario fields
-    override the soak defaults, and explicitly-given CLI flags win
-    over both.
-    """
-    out = out if out is not None else sys.stdout
-    # Deferred import: the soak harness pulls in repro.core and the
-    # fault library, which most CLI invocations never need.
-    from repro.analysis.soak import format_soak_report, soak_acceptance
-    from repro.qos.soak import SoakSpec, run_soak
-
-    kwargs: Dict[str, object] = {}
-    schedule_for = None
-    if args.scenario != "chaos":
-        from repro.scenario import (
-            ScenarioError,
-            soak_schedule_factory,
-            soak_spec_kwargs,
-            validate_scenario,
-        )
-
-        try:
-            sc = _resolve_scenario(args.scenario)
-            validate_scenario(sc)
-        except (ScenarioError, ValueError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        kwargs = soak_spec_kwargs(sc)
-        schedule_for = soak_schedule_factory(sc)
-    # Explicit CLI flags override scenario fields; the remaining gaps
-    # fall back to the SoakSpec/argparse defaults.  A loaded scenario
-    # keeps its own name as the report label (not the file path).
-    kwargs.setdefault("scenario", args.scenario)
-    if args.seeds is not None:
-        kwargs["seeds"] = tuple(args.seeds)
-    kwargs.setdefault("seeds", (0, 1, 2))
-    if args.requests is not None:
-        kwargs["n_requests"] = args.requests
-    if args.mb is not None:
-        kwargs["request_bytes"] = args.mb * MB
-    if args.max_virtual_time is not None:
-        kwargs["max_virtual_time"] = args.max_virtual_time
-    if args.sim_scheduler is not None:
-        kwargs["sim_scheduler"] = args.sim_scheduler
-    if args.unprotected:
-        kwargs["protected"] = False
-    if args.no_straggler:
-        kwargs["straggler"] = False
-    if args.tenants:
-        kwargs["tenants"] = True
-    try:
-        spec = SoakSpec(**kwargs)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    report = run_soak(spec, schedule_for=schedule_for)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-    if args.json:
-        print(report.to_json(), file=out)
-    else:
-        print(format_soak_report(report), file=out)
-    return 1 if soak_acceptance(report) else 0
-
-
 def _scenario_run_table(report) -> str:
     """Human rendering of one scenario report."""
     rows = []
@@ -656,12 +587,13 @@ def _scenario_run_table(report) -> str:
                 sr.seed, f"{run.scheme}/{run.mode}",
                 "-" if run.failed else f"{run.goodput / MB:.1f}",
                 "-" if run.failed else f"{run.makespan:.2f}",
+                "-" if run.failed else f"{run.latency['p99']:.3f}",
                 run.retries, run.hedges_issued, att or "-",
                 len(run.violations),
             ])
     return format_table(
-        ["seed", "run", "goodput (MB/s)", "makespan (s)", "retries",
-         "hedges", "SLO attainment", "violations"],
+        ["seed", "run", "goodput (MB/s)", "makespan (s)", "p99 (s)",
+         "retries", "hedges", "SLO attainment", "violations"],
         rows,
     )
 
@@ -788,6 +720,16 @@ def cmd_scenario(args, out=None) -> int:
     return 2
 
 
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags ``scenario run`` and its ``soak`` alias share."""
+    p.add_argument("--seed", type=int, nargs="+", default=None,
+                   help="override the scenario's seed list")
+    p.add_argument("--json", action="store_true",
+                   help="print the deterministic JSON report")
+    p.add_argument("--out", metavar="FILE",
+                   help="also write the JSON report to FILE")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument schema."""
     parser = argparse.ArgumentParser(
@@ -883,44 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_headline)
 
     p = sub.add_parser(
-        "soak", help="chaos-soak the overload-protection stack")
-    # Workload knobs default to None so a scenario file's fields are
-    # distinguishable from "the user typed this flag" — explicit flags
-    # override scenario fields, which override the soak defaults.
-    p.add_argument("--scenario", default="chaos",
-                   help="'chaos' (native), a built-in scenario name, or "
-                        "a YAML/JSON scenario file whose fields seed "
-                        "the soak spec")
-    p.add_argument("--seeds", type=int, nargs="+", default=None)
-    p.add_argument("--requests", type=int, default=None,
-                   help="concurrent active I/Os per client group "
-                        "(default 10)")
-    p.add_argument("--mb", type=int, default=None,
-                   help="bytes per request (MB, default 32)")
-    p.add_argument("--unprotected", action="store_true",
-                   help="disable the QoS stack and use the retry-storm "
-                        "policy (degradation demo)")
-    p.add_argument("--no-straggler", action="store_true",
-                   help="keep the straggler dispatcher (and replicas) "
-                        "off the protected DOSAS runs")
-    p.add_argument("--tenants", action="store_true",
-                   help="split the workload into the default two-tenant "
-                        "mix and assert the borrow-ledger conservation "
-                        "invariants on every run")
-    p.add_argument("--max-virtual-time", type=float, default=None,
-                   help="watchdog bound on each run's simulated seconds "
-                        "(default 120)")
-    p.add_argument("--sim-scheduler", choices=["calendar", "heap"],
-                   default=None,
-                   help="engine event scheduler (result-identical per "
-                        "seed; the report is byte-identical either way)")
-    p.add_argument("--json", action="store_true",
-                   help="print the deterministic JSON report")
-    p.add_argument("--out", metavar="FILE",
-                   help="also write the JSON report to FILE")
-    p.set_defaults(func=cmd_soak)
-
-    p = sub.add_parser(
         "scenario",
         help="declarative scenarios: list / validate / run / dump / smoke")
     scen_sub = p.add_subparsers(dest="scenario_command", required=True)
@@ -933,12 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     sr = scen_sub.add_parser(
         "run", help="run one scenario through the invariant engine")
     sr.add_argument("scenario", metavar="FILE_OR_NAME")
-    sr.add_argument("--seed", type=int, nargs="+", default=None,
-                    help="override the scenario's seed list")
-    sr.add_argument("--json", action="store_true",
-                    help="print the deterministic JSON report")
-    sr.add_argument("--out", metavar="FILE",
-                    help="also write the JSON report to FILE")
+    _add_run_flags(sr)
     sr.set_defaults(func=cmd_scenario)
     sd = scen_sub.add_parser(
         "dump", help="render a built-in scenario as YAML/JSON")
@@ -955,6 +854,15 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--out", metavar="FILE",
                     help="write the combined JSON report to FILE")
     ss.set_defaults(func=cmd_scenario)
+
+    p = sub.add_parser(
+        "soak", help="alias of 'scenario run', defaulting to chaos-soak")
+    p.add_argument("scenario", nargs="?", default="chaos-soak",
+                   metavar="FILE_OR_NAME",
+                   help="a YAML/JSON scenario file or a built-in name "
+                        "(default: chaos-soak)")
+    _add_run_flags(p)
+    p.set_defaults(func=cmd_scenario, scenario_command="run")
 
     p = sub.add_parser("gantt", help="per-request timeline of one run")
     p.add_argument("--scheme", default="dosas", choices=[s.value for s in Scheme])

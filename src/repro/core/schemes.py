@@ -259,13 +259,14 @@ class SchemeResult:
     retry_events: List[Dict[str, Any]] = field(default_factory=list)
     #: Per-server metric snapshots (``MetricsRegistry.summary()`` plus
     #: ``server`` / ``outstanding_final``) — the raw material for the
-    #: soak harness's conservation invariants.
+    #: scenario invariant engine's conservation checks.
     server_metrics: List[Dict[str, Any]] = field(default_factory=list)
     #: Aggregated overload-protection counters (see repro.qos); always
     #: present so the analysis schema is stable with or without QoS.
     qos_stats: Dict[str, Any] = field(default_factory=dict)
     #: Hedged-request ledger (see repro.straggler); conservation
-    #: ``won + wasted == issued`` is asserted by the soak harness.
+    #: ``won + wasted == issued`` is asserted by the scenario
+    #: invariant engine.
     hedges_issued: int = 0
     hedges_won: int = 0
     hedges_wasted: int = 0
@@ -695,7 +696,7 @@ def run_scheme(
             retry_budget.remaining if retry_budget is not None else None
         ),
         # Hedged-request ledger (mirrored onto the result's top level);
-        # the soak harness asserts won + wasted == issued.
+        # the scenario invariant engine asserts won + wasted == issued.
         "hedges_issued": _asc_sum("hedges_issued"),
         "hedges_won": _asc_sum("hedges_won"),
         "hedges_wasted": _asc_sum("hedges_wasted"),

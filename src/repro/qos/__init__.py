@@ -33,9 +33,10 @@ and recoverable with four mechanisms, threaded through the stack by
 
 Deadline propagation rides on ``IORequest.deadline`` (see
 ``repro.pvfs``); servers cancel expired work with a ``DeadlineExceeded``
-failure.  The chaos-soak harness that exercises the whole package
-under randomized fault schedules lives in ``repro.qos.soak`` (imported
-lazily — it pulls in ``repro.core``).
+failure.  The package is pure policy and imports nothing above it;
+the ``chaos-soak`` and ``tenant-fairness`` library scenarios
+(``repro.scenario``) exercise it end to end under randomized faults
+and tenant contention.
 
 See ``docs/failure_model.md`` for the overload model.
 """

@@ -5,7 +5,10 @@ shape, workload + tenant mix, arrival process, fault schedule, QoS /
 straggler / run knobs) loadable from YAML or JSON.  The compiler
 lowers it onto the engine's native objects, the runner executes it
 with the scenario's baseline pairing, and the invariant engine asserts
-the stack's conservation laws on every run.
+the stack's conservation laws on every run and the pair's claim
+(SLO floor, work conservation, tail cut) per scheme and seed.  The
+chaos soak, the tenant-fairness comparison and the straggler tail are
+library scenarios run through this one path.
 
 Layering: this package sits at the experiment tier — it may import
 ``repro.core``, ``repro.faults``, ``repro.qos``; nothing below the
@@ -13,18 +16,19 @@ experiment tier may import it back.
 """
 
 from repro.scenario.compile import (
+    BASELINES,
     arrival_offsets,
     compile_faults,
     compile_qos,
     compile_retry,
     compile_workload,
-    soak_schedule_factory,
-    soak_spec_kwargs,
+    strip_guarantees,
     validate_scenario,
 )
 from repro.scenario.invariants import (
     INVARIANT_FAMILIES,
     Violation,
+    check_baseline_claim,
     check_run,
     check_slo_floor,
 )
@@ -67,13 +71,14 @@ __all__ = [
     "compile_qos",
     "compile_retry",
     "compile_faults",
+    "strip_guarantees",
+    "BASELINES",
     "validate_scenario",
-    "soak_spec_kwargs",
-    "soak_schedule_factory",
     "Violation",
     "INVARIANT_FAMILIES",
     "check_run",
     "check_slo_floor",
+    "check_baseline_claim",
     "BUILTIN",
     "get_scenario",
     "list_scenarios",

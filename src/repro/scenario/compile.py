@@ -1,14 +1,14 @@
 """Lowering a :class:`Scenario` onto the engine's native objects.
 
-One scenario file drives every harness identically because this module
-is the only translation layer: the same
-:class:`~repro.core.schemes.WorkloadSpec`,
+This module is the only translation layer between a scenario and the
+engine: the same :class:`~repro.core.schemes.WorkloadSpec`,
 :class:`~repro.faults.schedule.FaultSchedule`,
 :class:`~repro.qos.config.QoSConfig` and
 :class:`~repro.core.asc.RetryPolicy` objects come out whether the
-scenario is run by ``repro scenario run``, ``repro soak --scenario``
-or the bench harness.  Seeds are threaded explicitly — a scenario plus
-a seed fully determines every lowered artifact.
+scenario is run by ``repro scenario run`` (or its ``repro soak``
+alias) or the bench harness.  Seeds are threaded explicitly — a
+scenario plus a seed fully determines every lowered artifact.
+:data:`BASELINES` lowers the protected pair onto each baseline mode.
 
 Arrival processes beyond the engine's linear stagger (``bursty``
 phase-synchronized NWP traffic, the ``diurnal`` curve, ``poisson``)
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.config import MB
 from repro.core.asc import RetryPolicy
@@ -39,14 +39,15 @@ from repro.qos.tenancy import TenantSpec
 from repro.scenario.schema import ArrivalShape, Scenario, ScenarioError
 
 __all__ = [
+    "PATIENT_RETRY",
+    "BASELINES",
     "arrival_offsets",
     "compile_workload",
     "compile_qos",
     "compile_retry",
     "compile_faults",
+    "strip_guarantees",
     "validate_scenario",
-    "soak_spec_kwargs",
-    "soak_schedule_factory",
 ]
 
 
@@ -126,12 +127,7 @@ def _diurnal_offsets(arrival: ArrivalShape, n: int) -> Tuple[float, ...]:
 
 # -- section lowering ---------------------------------------------------------
 
-def _tenant_spec(t: Any, unpoliced: bool) -> TenantSpec:
-    if unpoliced:
-        return TenantSpec(
-            name=t.name, weight=t.weight, slo_latency=t.slo_latency,
-            requests=t.requests,
-        )
+def _tenant_spec(t: Any) -> TenantSpec:
     return TenantSpec(
         name=t.name,
         weight=t.weight,
@@ -143,15 +139,8 @@ def _tenant_spec(t: Any, unpoliced: bool) -> TenantSpec:
     )
 
 
-def compile_workload(
-    scenario: Scenario, seed: int, unpoliced: bool = False
-) -> WorkloadSpec:
-    """The scenario's :class:`WorkloadSpec` for one seed.
-
-    ``unpoliced=True`` strips every tenant's rate/burst/ceiling (their
-    demand, weight and SLO stay) — the raw-contention baseline the
-    noisy-neighbor scenarios compare against.
-    """
+def compile_workload(scenario: Scenario, seed: int) -> WorkloadSpec:
+    """The scenario's :class:`WorkloadSpec` for one seed."""
     w = scenario.workload
     c = scenario.cluster
     offsets = arrival_offsets(w.arrival, scenario.total_requests, seed)
@@ -168,7 +157,7 @@ def compile_workload(
             n_replicas=c.n_replicas,
             hedge_delay_floor=scenario.straggler.hedge_delay_floor,
             hedge_quantile=scenario.straggler.hedge_quantile,
-            tenants=tuple(_tenant_spec(t, unpoliced) for t in w.tenants),
+            tenants=tuple(_tenant_spec(t) for t in w.tenants),
             background_readers=w.background_readers,
             background_bytes=int(w.background_mb * MB),
             arrival_spacing=(
@@ -211,9 +200,8 @@ def compile_qos(scenario: Scenario) -> Optional[QoSConfig]:
 
 
 #: The patient policy tenant-policed runs fall back to: denials
-#: recover through retries, so the policy must outlast the backlog
-#: (mirrors the fairness bench's stock policy).
-_PATIENT_RETRY = RetryPolicy(
+#: recover through retries, so the policy must outlast the backlog.
+PATIENT_RETRY = RetryPolicy(
     timeout=60.0, max_retries=24, backoff_base=0.25, backoff_factor=2.0,
     backoff_cap=2.0,
 )
@@ -245,7 +233,7 @@ def compile_retry(
     if schedule is not None:
         return schedule.retry
     if scenario.workload.tenants and scenario.qos.enabled:
-        return _PATIENT_RETRY
+        return PATIENT_RETRY
     return None
 
 
@@ -311,11 +299,47 @@ def compile_faults(scenario: Scenario, seed: int) -> Optional[FaultSchedule]:
     return schedule
 
 
+# -- baseline modes -----------------------------------------------------------
+
+def strip_guarantees(spec: WorkloadSpec) -> WorkloadSpec:
+    """``spec`` with every tenant's rate, burst and ceiling removed.
+
+    Demand, weight and SLO stay, so the tenants still compete and are
+    still measured — only the per-tenant policing is gone.
+    """
+    return replace(spec, tenants=tuple(
+        replace(t, rate=None, burst=None, ceiling=None, ceiling_burst=None)
+        for t in spec.tenants
+    ))
+
+
+_Pair = Tuple[WorkloadSpec, Optional[QoSConfig]]
+
+#: Baseline mode -> how the protected ``(spec, qos)`` pair becomes the
+#: baseline's.  Both runs share the fault schedule and retry policy;
+#: ``none`` (no baseline) has no entry.  ``static`` and ``unhedged``
+#: exist to test one claim each, which the runner checks per pair:
+#: borrowing is work-conserving, and the straggler scheduler cuts the
+#: tail (``repro.scenario.invariants.check_baseline_claim``).
+BASELINES: Mapping[str, Callable[[WorkloadSpec, Optional[QoSConfig]], _Pair]] = {
+    # The QoS stack disarmed: raw contention, nothing policed or shed.
+    "unprotected": lambda spec, qos: (spec, None),
+    # QoS armed, per-tenant guarantees stripped.
+    "unpoliced": lambda spec, qos: (strip_guarantees(spec), qos),
+    # Guarantees kept, borrowing off: the strict static partition.
+    "static": lambda spec, qos: (spec, replace(qos, tenant_borrow=False)),
+    # Straggler-aware dispatch and hedging off; replicas kept.
+    "unhedged": lambda spec, qos: (
+        replace(spec, straggler_scheduler=False), qos
+    ),
+}
+
+
 def validate_scenario(scenario: Scenario) -> None:
     """Deep validation: every artifact the scenario implies must build.
 
     The schema layer checks shapes and ranges; this pass actually
-    lowers the scenario (first seed, both baseline variants) so
+    lowers the scenario (first seed, protected and baseline pair) so
     cross-field rules enforced by the engine objects — dependent QoS
     knobs, tenant burst-without-rate, unknown kernels, unpaired fault
     events — surface at validation time with a scenario-relative path
@@ -331,82 +355,9 @@ def validate_scenario(scenario: Scenario) -> None:
         )
     seed = scenario.run.seeds[0]
     schedule = compile_faults(scenario, seed)
-    compile_qos(scenario)
+    qos = compile_qos(scenario)
     compile_retry(scenario, schedule)
-    compile_workload(scenario, seed)
-    if scenario.run.baseline == "unpoliced":
-        compile_workload(scenario, seed, unpoliced=True)
-
-
-# -- soak bridging ------------------------------------------------------------
-
-def soak_spec_kwargs(scenario: Scenario) -> Dict[str, Any]:
-    """``SoakSpec`` constructor arguments implied by the scenario.
-
-    Scenario fields override the soak harness's defaults; the caller
-    (``repro soak --scenario``) may layer explicitly-given CLI flags
-    on top.  Chaos-library parameters map onto the soak's native
-    ``n_fault_events``/``fault_span`` knobs so a chaos scenario and a
-    plain ``repro soak`` invocation cannot drift apart.
-    """
-    chaos_overrides = (
-        scenario.faults.overrides if scenario.faults.library == "chaos" else {}
-    )
-    return {
-        "scenario": scenario.name,
-        "seeds": tuple(scenario.run.seeds),
-        "kernel": scenario.workload.kernel,
-        "n_requests": scenario.per_node_requests,
-        "request_bytes": int(scenario.workload.request_mb * MB),
-        "n_storage": scenario.cluster.n_storage,
-        "storage_cores": scenario.cluster.storage_cores,
-        "protected": scenario.qos.enabled,
-        "max_virtual_time": scenario.run.max_virtual_time,
-        "n_fault_events": int(chaos_overrides.get("n_events", 4)),
-        "fault_span": float(chaos_overrides.get("span", 1.5)),
-        "straggler": scenario.straggler.enabled,
-        "n_replicas": scenario.cluster.n_replicas,
-        "tenants": bool(scenario.workload.tenants),
-        "sim_scheduler": scenario.run.sim_scheduler,
-    }
-
-
-def soak_schedule_factory(
-    scenario: Scenario,
-) -> Optional[Callable[[int], FaultSchedule]]:
-    """Per-seed schedule factory for scenario-driven soaks.
-
-    Chaos-library scenarios return None — the soak harness's native
-    chaos builder (with its guaranteed early crash) already consumes
-    the mapped ``n_fault_events``/``fault_span``.  Any other fault
-    section compiles through :func:`compile_faults` per seed.
-    """
-    if not scenario.faults.armed or scenario.faults.library == "chaos":
-        return None
-
-    def build(seed: int) -> FaultSchedule:
-        schedule = compile_faults(scenario, seed)
-        assert schedule is not None  # armed scenarios always compile one
-        return schedule
-
-    return build
-
-
-def unpoliced_variant(spec: WorkloadSpec) -> WorkloadSpec:
-    """``spec`` with every tenant's rate guarantees stripped in place.
-
-    Used by harnesses that already hold a lowered spec; scenario code
-    prefers ``compile_workload(..., unpoliced=True)``.
-    """
-    if not spec.tenants:
-        return spec
-    return replace(
-        spec,
-        tenants=tuple(
-            TenantSpec(
-                name=t.name, weight=t.weight, slo_latency=t.slo_latency,
-                requests=t.requests,
-            )
-            for t in spec.tenants
-        ),
-    )
+    spec = compile_workload(scenario, seed)
+    lower = BASELINES.get(scenario.run.baseline)
+    if lower is not None:
+        lower(spec, qos)

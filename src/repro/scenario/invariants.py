@@ -1,14 +1,8 @@
 """The invariant engine: what every scenario run must satisfy.
 
-Each scenario run — whatever harness drives it — passes through these
-checks before its result counts.  The families mirror the soak
-harness's conservation math (``repro.qos.soak.check_invariants``) but
-are implemented natively here with typed :class:`Violation` records:
-``repro.scenario`` sits *above* ``repro.qos`` in the layering, and the
-soak module must stay importable without this package (no cycles).
-
-Families, toggled per scenario by
-:class:`~repro.scenario.schema.InvariantShape`:
+Each scenario run passes through these checks before its result
+counts, as typed :class:`Violation` records.  Families, toggled per
+scenario by :class:`~repro.scenario.schema.InvariantShape`:
 
 ``conservation``
     Per server: ``received == completed + cancelled + crash_failed +
@@ -25,21 +19,36 @@ Families, toggled per scenario by
     at or above the baseline run's, per seed — the isolation claim the
     noisy-neighbor scenarios exist to demonstrate.  ``min_attainment``
     adds an absolute floor on the protected side.
+
+Two cross-run families are carried by the baseline kind rather than
+by a toggle, because those baselines exist only to test them:
+
+``work_conservation``
+    Against a ``static`` baseline: protected goodput at or above the
+    static partition's — lending idle tokens loses no throughput.
+``tail``
+    Against an ``unhedged`` baseline: protected p99 latency at or
+    below the unhedged run's — the straggler scheduler cuts the tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from repro.cluster.config import MB
 from repro.core.schemes import SchemeResult
 from repro.scenario.schema import InvariantShape
+
+if TYPE_CHECKING:  # the runner imports this module
+    from repro.scenario.runner import ScenarioRun
 
 __all__ = [
     "Violation",
     "INVARIANT_FAMILIES",
     "check_run",
     "check_slo_floor",
+    "check_baseline_claim",
     "tenant_attainment",
 ]
 
@@ -71,6 +80,10 @@ INVARIANT_FAMILIES: Dict[str, str] = {
         "attainment, per seed (plus the optional absolute floor)"
     ),
     "lifecycle": "the protected run finished (no watchdog, no crash-out)",
+    "work_conservation": (
+        "protected goodput >= the static baseline's, per scheme and seed"
+    ),
+    "tail": "protected p99 <= the unhedged baseline's, per scheme and seed",
 }
 
 
@@ -215,3 +228,30 @@ def check_slo_floor(
             f"below the scenario's absolute floor {shape.min_attainment:.3f}",
         ))
     return out
+
+
+def check_baseline_claim(
+    baseline: str, protected: "ScenarioRun", base: "ScenarioRun"
+) -> List[Violation]:
+    """The claim a ``static`` or ``unhedged`` baseline exists to test.
+
+    A dead run on either side proves nothing either way: the protected
+    death is already a ``lifecycle`` violation and a dead baseline is
+    the degradation the pair measures against.
+    """
+    if protected.failed or base.failed:
+        return []
+    if baseline == "static" and protected.goodput < base.goodput:
+        return [Violation(
+            "work_conservation",
+            f"protected goodput {protected.goodput / MB:.1f} MB/s below "
+            f"the static partition's {base.goodput / MB:.1f} MB/s",
+        )]
+    if baseline == "unhedged" \
+            and protected.latency["p99"] > base.latency["p99"]:
+        return [Violation(
+            "tail",
+            f"protected p99 {protected.latency['p99']:.3f} s above the "
+            f"unhedged run's {base.latency['p99']:.3f} s",
+        )]
+    return []

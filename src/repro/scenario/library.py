@@ -12,9 +12,13 @@ gold tenant's SLO attainment must hold at or above the unprotected /
 unpoliced baseline's, per seed (the ``slo_floor`` invariant).  The
 arrival-shape family stresses the engine with bursty NWP phase traffic
 and a diurnal curve; ``kitchen-sink-chaos`` turns everything on at
-once.
+once.  The robustness family carries the repository's committed
+claims: ``chaos-soak`` (overload plus random crashes), ``tenant-fairness``
+(borrowing vs the static partition) and ``straggler-tail`` (the
+straggler scheduler vs no hedging).
 
-Entries tagged ``smoke`` form the CI subset (fast, two seeds).
+Entries tagged ``smoke`` form the fast subset (``repro scenario
+smoke``); CI runs the whole library.
 """
 
 from __future__ import annotations
@@ -74,6 +78,18 @@ _PATIENT_RETRY: Dict[str, Any] = {
     "backoff_base": 0.25,
     "backoff_factor": 2.0,
     "backoff_cap": 2.0,
+}
+
+
+#: The chaos fault library's suggested client policy, de-synchronized
+#: with full jitter.
+_CHAOS_RETRY: Dict[str, Any] = {
+    "timeout": 4.0,
+    "max_retries": 8,
+    "backoff_base": 0.25,
+    "backoff_factor": 2.0,
+    "backoff_cap": 2.0,
+    "full_jitter": True,
 }
 
 
@@ -259,6 +275,105 @@ BUILTIN: Dict[str, Dict[str, Any]] = {
         "straggler": {"enabled": True},
         "run": {"seeds": [0, 1], "baseline": "unprotected"},
         "invariants": {"slo_floor": "gold"},
+    },
+    "chaos-soak": {
+        "name": "chaos-soak",
+        "description": (
+            "Overload plus random faults: 10 concurrent 32 MB active "
+            "reads per node against 2 cores, under a seeded chaos "
+            "schedule that always holds a crash.  Protected DOSAS and "
+            "AS (admission, breakers, retry budget, hedged reads over "
+            "2 replicas) against the same stack disarmed."
+        ),
+        "tags": ["chaos", "soak"],
+        "cluster": {"n_storage": 2, "storage_cores": 2, "n_replicas": 2},
+        "workload": {"n_requests": 10, "request_mb": 32.0},
+        "faults": {
+            "library": "chaos",
+            "overrides": {"n_events": 4, "span": 1.5},
+            "horizon": 120.0,
+            "guarantee_crash": True,
+        },
+        # The queue bound sits just above the per-node concurrency;
+        # breakers react within the sub-second crash durations; the
+        # budget allows a handful of recoveries per request.
+        "qos": {
+            "max_queue_depth": 20,
+            "breaker_threshold": 3,
+            "breaker_cooldown": 0.3,
+            "retry_budget": 160,
+            "deadline": 60.0,
+        },
+        "retry": _CHAOS_RETRY,
+        "straggler": {"enabled": True},
+        "run": {
+            "seeds": [0, 1, 2],
+            "schemes": ["dosas", "as"],
+            "baseline": "unprotected",
+        },
+    },
+    "tenant-fairness": {
+        "name": "tenant-fairness",
+        "description": (
+            "Gold (70 MB/s guarantee, 2 s SLO, 3 requests) against a "
+            "noisy tenant (20 MB/s, 16 requests): the guarantees "
+            "undersubscribe the NIC, the demand oversubscribes it.  "
+            "Token borrowing against the static partition: gold keeps "
+            "its SLO and borrowing loses no goodput."
+        ),
+        "tags": ["contention", "fairness"],
+        "cluster": {"n_storage": 2, "storage_cores": 2},
+        "workload": {
+            "request_mb": 16.0,
+            "tenants": [
+                {"name": "gold", "requests": 3, "weight": 2.0,
+                 "rate_mb": 70.0, "slo_latency": 2.0},
+                {"name": "noisy", "requests": 16, "rate_mb": 20.0},
+            ],
+        },
+        # Deep enough that queue-depth shedding never fires: only the
+        # tenant ledger polices.
+        "qos": {
+            "max_queue_depth": 152,
+            "breaker_threshold": 10000,
+            "retry_budget": None,
+        },
+        "retry": _PATIENT_RETRY,
+        "run": {
+            "seeds": [1, 2],
+            "baseline": "static",
+            "max_virtual_time": 600.0,
+        },
+        "invariants": {"slo_floor": "gold", "min_attainment": 1.0},
+    },
+    "straggler-tail": {
+        "name": "straggler-tail",
+        "description": (
+            "Persistent and transient stragglers on 4 servers under "
+            "32 spaced 32 MB reads per node, 2 replicas: every scheme "
+            "with the straggler scheduler (replica routing, hedged "
+            "reads) against the same run unhedged."
+        ),
+        "tags": ["straggler", "faults"],
+        "cluster": {"n_storage": 4, "storage_cores": 2, "n_replicas": 2},
+        "workload": {
+            "n_requests": 32,
+            "request_mb": 32.0,
+            "arrival": {"process": "spaced", "spacing": 0.15},
+        },
+        "faults": {"library": "stragglers", "overrides": {"n_transient": 2}},
+        "qos": {"enabled": False},
+        # A generous per-attempt timeout: the unhedged run must finish
+        # on a badly derated server (its pain shows in the tail), not
+        # die in RetryExhausted.
+        "retry": {"timeout": 20.0, "max_retries": 6},
+        "straggler": {"enabled": True},
+        "run": {
+            "seeds": [1, 2],
+            "schemes": ["ts", "as", "dosas"],
+            "baseline": "unhedged",
+            "max_virtual_time": 600.0,
+        },
     },
 }
 

@@ -1,23 +1,28 @@
 """Executing scenarios: protected runs, baselines, invariants, report.
 
-``run_scenario`` is the engine behind ``repro scenario run`` and the
-bench harness: per seed and per scheme it executes the *protected*
-run (the scenario's QoS / straggler / retry stack as written), pairs
-it with the scenario's baseline mode, pushes every completed run
-through the invariant engine, and cross-checks the SLO floor between
-the pair.  The report is plain data with a byte-deterministic JSON
-rendering — same scenario file + same seed ⇒ identical text, which the
-determinism tests and the CI smoke job pin.
+``run_scenario`` is the engine behind ``repro scenario run`` (and its
+``repro soak`` alias) and the bench harness: per seed and per scheme
+it executes the *protected* run (the scenario's QoS / straggler /
+retry stack as written), pairs it with the scenario's baseline mode,
+pushes every completed run through the invariant engine, and checks
+the pair's cross-run claims.  The report is plain data with a
+byte-deterministic JSON rendering — same scenario file + same seed ⇒
+identical text, which the determinism tests and the CI job pin.
 
-Baseline modes (``run.baseline``):
+Baseline modes (``run.baseline``) are one table,
+:data:`repro.scenario.compile.BASELINES`; every mode shares the
+protected run's fault schedule and retry policy:
 
 ``unprotected``
-    The same workload with the QoS stack disarmed entirely — raw
-    contention, nothing policed, nothing shed.
+    The QoS stack disarmed entirely — raw contention.
 ``unpoliced``
-    QoS stays armed but every tenant's rate/burst/ceiling guarantee is
-    stripped — the fairness bench's "no policing" arm, isolating the
-    per-tenant guarantees from the rest of the stack.
+    QoS armed, every tenant's rate/burst/ceiling stripped.
+``static``
+    Tenant guarantees kept, token borrowing off.  The pair checks work
+    conservation: protected goodput at or above the static partition's.
+``unhedged``
+    The straggler scheduler off, replicas kept.  The pair checks the
+    tail: protected p99 at or below the unhedged run's.
 ``none``
     No baseline (sanity scenarios).
 """
@@ -35,6 +40,7 @@ from repro.pvfs.client import reset_parent_ids
 from repro.pvfs.metadata import PVFSError
 from repro.pvfs.requests import reset_request_ids
 from repro.scenario.compile import (
+    BASELINES,
     compile_faults,
     compile_qos,
     compile_retry,
@@ -42,11 +48,13 @@ from repro.scenario.compile import (
 )
 from repro.scenario.invariants import (
     Violation,
+    check_baseline_claim,
     check_run,
     check_slo_floor,
     tenant_attainment,
 )
 from repro.scenario.schema import Scenario
+from repro.sim.monitor import percentile
 
 __all__ = [
     "ScenarioRun",
@@ -56,6 +64,9 @@ __all__ = [
 ]
 
 _SCHEMES: Dict[str, Scheme] = {s.value: s for s in Scheme}
+
+#: The per-request latency quantiles every completed run reports.
+_QUANTILES: Tuple[float, ...] = (50.0, 95.0, 99.0)
 
 
 @dataclass
@@ -75,6 +86,10 @@ class ScenarioRun:
     hedges_wasted: int = 0
     #: tenant name -> SLO attainment (only tenants with an SLO).
     attainment: Dict[str, float] = field(default_factory=dict)
+    #: Per-request latency ``p50``/``p95``/``p99``/``max`` (seconds).
+    latency: Dict[str, float] = field(default_factory=dict)
+    #: The run's QoS counters (admission, breakers, tenant ledgers).
+    qos_stats: Dict[str, Any] = field(default_factory=dict)
     violations: List[str] = field(default_factory=list)
     #: Non-empty when the run died (watchdog / RetryExhausted).  For
     #: baselines that is admissible degradation evidence; a dead
@@ -89,8 +104,9 @@ class ScenarioSeedResult:
     seed: int
     schedule: str
     runs: List[ScenarioRun] = field(default_factory=list)
-    #: slo_floor violations (they compare two runs, so they live at
-    #: the seed level rather than on either run).
+    #: slo_floor / work_conservation / tail violations (they compare
+    #: two runs, so they live at the seed level rather than on either
+    #: run), each prefixed with ``[scheme]``.
     cross_violations: List[str] = field(default_factory=list)
 
 
@@ -130,6 +146,12 @@ def _attainments(result: SchemeResult) -> Dict[str, float]:
         value = tenant_attainment(result.qos_stats, t.name)
         if value is not None:
             out[t.name] = value
+    return out
+
+
+def _latency(latencies: List[float]) -> Dict[str, float]:
+    out = {f"p{q:g}": percentile(latencies, q) for q in _QUANTILES}
+    out["max"] = max(latencies)
     return out
 
 
@@ -189,6 +211,8 @@ def _execute(
         hedges_won=result.hedges_won,
         hedges_wasted=result.hedges_wasted,
         attainment=_attainments(result),
+        latency=_latency(result.per_request_latencies),
+        qos_stats=result.qos_stats,
         violations=[
             str(v) for v in check_run(result, scenario.invariants)
         ],
@@ -209,10 +233,12 @@ def run_scenario(
         tags=list(scenario.tags),
         baseline=scenario.run.baseline,
     )
+    lower = BASELINES.get(scenario.run.baseline)
     for seed in seeds if seeds is not None else scenario.run.seeds:
         schedule = compile_faults(scenario, seed)
         qos = compile_qos(scenario)
         retry = compile_retry(scenario, schedule)
+        spec = compile_workload(scenario, seed)
         seed_result = ScenarioSeedResult(
             seed=seed,
             schedule=schedule.name if schedule is not None else "none",
@@ -220,34 +246,32 @@ def run_scenario(
         for scheme_name in scenario.run.schemes:
             scheme = _SCHEMES[scheme_name]
             protected, protected_result = _execute(
-                scenario, "protected", scheme,
-                compile_workload(scenario, seed),
-                schedule, qos, retry,
+                scenario, "protected", scheme, spec, schedule, qos, retry,
             )
             seed_result.runs.append(protected)
+            baseline: Optional[ScenarioRun] = None
             baseline_result: Optional[SchemeResult] = None
-            if scenario.run.baseline == "unprotected":
+            if lower is not None:
+                base_spec, base_qos = lower(spec, qos)
                 baseline, baseline_result = _execute(
-                    scenario, "unprotected", scheme,
-                    compile_workload(scenario, seed),
-                    schedule, None, retry,
+                    scenario, scenario.run.baseline, scheme,
+                    base_spec, schedule, base_qos, retry,
                 )
                 seed_result.runs.append(baseline)
-            elif scenario.run.baseline == "unpoliced":
-                baseline, baseline_result = _execute(
-                    scenario, "unpoliced", scheme,
-                    compile_workload(scenario, seed, unpoliced=True),
-                    schedule, qos, retry,
-                )
-                seed_result.runs.append(baseline)
+            cross: List[Violation] = []
             if protected_result is not None:
-                seed_result.cross_violations.extend(
-                    f"[{scheme_name}] {v}" for v in check_slo_floor(
-                        scenario.invariants,
-                        protected_result.qos_stats,
-                        baseline_result.qos_stats
-                        if baseline_result is not None else None,
-                    )
+                cross += check_slo_floor(
+                    scenario.invariants,
+                    protected_result.qos_stats,
+                    baseline_result.qos_stats
+                    if baseline_result is not None else None,
                 )
+            if baseline is not None:
+                cross += check_baseline_claim(
+                    scenario.run.baseline, protected, baseline
+                )
+            seed_result.cross_violations.extend(
+                f"[{scheme_name}] {v}" for v in cross
+            )
         report.seeds.append(seed_result)
     return report

@@ -2,10 +2,11 @@
 
 A *scenario* is one self-contained description of an experiment: the
 cluster shape, the workload and tenant mix, the arrival process, the
-fault/chaos schedule, and the QoS / straggler / run knobs — everything
-that today is hand-built in Python across the soak, fairness and
-straggler harnesses, expressed as one plain mapping loadable from YAML
-or JSON (``repro.scenario.loader``).
+fault/chaos schedule, and the QoS / straggler / run knobs, expressed
+as one plain mapping loadable from YAML or JSON
+(``repro.scenario.loader``).  The chaos soak, the tenant-fairness
+comparison and the straggler tail are library entries of this one
+shape (``repro.scenario.library``).
 
 Parsing is *strict*: unknown keys and invalid values are rejected with
 a :class:`ScenarioError` carrying the dotted path to the offending
@@ -365,9 +366,10 @@ class FaultShape:
 
     Either a named library scenario from :data:`repro.faults.SCENARIOS`
     (``library`` + factory-parameter ``overrides``) or an explicit
-    ``events`` list — never both.  ``guarantee_crash`` appends an early
-    crash/restart cycle when the (possibly seeded) schedule contains
-    none, the soak harness's trick for making every seed feel a crash.
+    ``events`` list — never both.  ``guarantee_crash`` appends a crash
+    at 0.1 s (0.4 s down, server 0) when the (possibly seeded) schedule
+    contains no crash at all, so every seed feels one.  A crash drawn
+    late in the schedule counts: the crash need not land early.
     """
 
     library: Optional[str] = None
@@ -488,8 +490,11 @@ _STRAGGLER_FIELDS: Dict[str, _Parser] = {
 }
 
 
-#: Baseline modes the runner can pair a protected run against.
-BASELINE_MODES: Tuple[str, ...] = ("unprotected", "unpoliced", "none")
+#: Baseline modes the runner can pair a protected run against (see
+#: ``repro.scenario.compile.BASELINES``).
+BASELINE_MODES: Tuple[str, ...] = (
+    "unprotected", "unpoliced", "static", "unhedged", "none",
+)
 
 
 @dataclass(frozen=True)
@@ -587,16 +592,26 @@ class Scenario:
                     f"tenant {self.invariants.slo_floor!r} has no "
                     "slo_latency to measure attainment against",
                 )
-        if self.run.baseline == "unpoliced" and not self.workload.tenants:
+        baseline = self.run.baseline
+        if baseline in ("unpoliced", "static") and not self.workload.tenants:
             raise ScenarioError(
                 "run.baseline",
-                "'unpoliced' strips tenant rate guarantees, but the "
-                "workload declares no tenants",
+                f"{baseline!r} changes tenant policing, but the workload "
+                "declares no tenants",
             )
-        if self.cluster.n_replicas > 1 and self.cluster.n_replicas \
-                > self.cluster.n_storage:
+        if baseline == "static" and not (
+            self.qos.enabled and self.qos.tenant_borrow
+        ):
             raise ScenarioError(
-                "cluster.n_replicas", "exceeds cluster.n_storage"
+                "run.baseline",
+                "'static' turns token borrowing off, but the protected "
+                "run does not borrow (qos disabled or tenant_borrow off)",
+            )
+        if baseline == "unhedged" and not self.straggler.enabled:
+            raise ScenarioError(
+                "run.baseline",
+                "'unhedged' turns the straggler scheduler off, but "
+                "straggler.enabled is already false",
             )
 
     @property

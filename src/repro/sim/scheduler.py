@@ -30,7 +30,7 @@ implementations:
 Both schedulers produce the *identical* pop order for any push
 sequence — pinned by the ``tests/sim/test_scheduler.py`` property
 tests and the heap-vs-calendar byte-identity tests on full scheme and
-soak reports — so the simulation is deterministic per seed whichever
+scenario reports — so the simulation is deterministic per seed whichever
 scheduler is active.
 
 Lazy deletion: cancelled :class:`~repro.sim.events.Timer`\\ s and

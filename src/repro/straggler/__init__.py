@@ -20,14 +20,13 @@ Pieces (all client-side; servers are untouched):
     deadline-aware greedy override, plus the adaptive hedge policy
     (backup read after the recent p95, first reply wins, loser defused
     through the late-reply path).
-:mod:`repro.straggler.bench`
-    The tail-latency benchmark core (p50/p95/p99 for TS/AS/DOSAS with
-    the scheduler on vs. off under straggler injection).
 
 Degraded servers themselves are modelled in :mod:`repro.faults`
 (``SLOWDOWN`` events; ``stragglers`` scenario), and the hedged attempt
 loop lives in :meth:`repro.core.asc.ActiveStorageClient` — see
-``docs/failure_model.md`` for the full design.
+``docs/failure_model.md`` for the full design.  The ``straggler-tail``
+library scenario (``repro.scenario``) measures the p99 cut for
+TS/AS/DOSAS with the scheduler on vs. off under straggler injection.
 """
 
 from repro.straggler.config import StragglerConfig

@@ -1,13 +1,14 @@
 """Same seed ⇒ byte-identical results, scheduler=heap vs calendar.
 
 The calendar scheduler is only allowed to change wall-clock speed,
-never results.  These tests serialize full scheme results and soak
+never results.  These tests serialize full scheme results and scenario
 reports produced under both schedulers and require *byte* equality, across
 the workload families the determinism suite covers: plain TS/AS/DOSAS,
 fault injection, straggler dispatch with hedged reads, and tenant
 runs.
 """
 
+import copy
 import json
 from dataclasses import asdict
 
@@ -97,13 +98,13 @@ class TestSchemeByteIdentity:
 
 class TestSoakByteIdentity:
     def test_soak_report_identical(self):
-        from repro.qos.soak import SoakSpec, run_soak
+        from repro.scenario import BUILTIN, run_scenario, scenario_from_dict
 
         reports = {}
         for name in ("heap", "calendar"):
-            spec = SoakSpec(
-                seeds=(0,), n_requests=6, request_bytes=16 * MB,
-                tenants=True, sim_scheduler=name,
-            )
-            reports[name] = run_soak(spec).to_json()
+            data = copy.deepcopy(BUILTIN["chaos-soak"])
+            data["run"]["sim_scheduler"] = name
+            reports[name] = run_scenario(
+                scenario_from_dict(data), seeds=(0,)
+            ).to_json()
         assert reports["heap"] == reports["calendar"]

@@ -19,8 +19,8 @@ class TestLayerTable:
         assert sim[0] < qos[0] < cli[0]
 
     def test_longest_prefix_rehomes_harness_submodules(self):
-        # The qos package is policy, but its soak harness drives the
-        # whole stack and is re-homed into the experiment layer.
+        # The qos package is policy, but the harness prefix
+        # repro.qos.soak is re-homed into the experiment layer.
         assert layer_of("repro.qos.tokens")[1] == "policy"
         assert layer_of("repro.qos.soak")[1] == "experiment"
         assert layer_of("repro.qos.soak.runner")[1] == "experiment"

@@ -1,61 +1,77 @@
-"""Tenant-fairness bench: gates, ledgers, and byte-stable reports."""
+"""Tenant fairness, read off ``tenant-fairness`` scenario reports.
+
+The protected run polices both tenants with token borrowing; the
+scenario's ``static`` baseline keeps the guarantees with borrowing off,
+and the same scenario with ``run.baseline: unpoliced`` drops policing
+altogether.  Isolation is the ``slo_floor``/``min_attainment``
+invariant, work conservation the claim the ``static`` baseline carries.
+"""
+
+import copy
 
 import pytest
 
-from repro.qos.fairness import fairness_json, run_fairness_bench
+from repro.scenario import BUILTIN, get_scenario, run_scenario, scenario_from_dict
 
-MB = 1024 * 1024
+SEED = 1
 
-# One storage node and a small mix keep the three-mode comparison under
-# a second while preserving the contention shape the full bench uses:
-# demand oversubscribes the NIC, guarantees undersubscribe it.
-SMALL = dict(n_storage=1, request_bytes=8 * MB, gold_requests=2,
-             noisy_requests=8)
+
+def _tenants(run):
+    return run.qos_stats["tenants"]["per_tenant"]
 
 
 @pytest.fixture(scope="module")
 def report():
-    return run_fairness_bench(seed=3, **SMALL)
+    return run_scenario(get_scenario("tenant-fairness"), seeds=(SEED,))
+
+
+@pytest.fixture(scope="module")
+def runs(report):
+    """mode -> run, for the one seed."""
+    return {run.mode: run for run in report.seeds[0].runs}
+
+
+@pytest.fixture(scope="module")
+def unpoliced():
+    data = copy.deepcopy(BUILTIN["tenant-fairness"])
+    data["run"]["baseline"] = "unpoliced"
+    report = run_scenario(scenario_from_dict(data), seeds=(SEED,))
+    return {run.mode: run for run in report.seeds[0].runs}
 
 
 class TestGates:
-    def test_isolation_holds_under_borrowing(self, report):
-        assert report["gates"]["isolation"] is True
-        gold = report["modes"]["borrowing"]["tenants"]["per_tenant"]["gold"]
-        assert gold["slo_attainment"] == 1.0
+    def test_isolation_holds_under_borrowing(self, report, runs):
+        assert report.violations() == []
+        assert runs["protected"].attainment["gold"] == 1.0
 
-    def test_borrowing_is_work_conserving(self, report):
-        assert report["gates"]["work_conservation"] is True
-        assert (report["modes"]["borrowing"]["goodput"]
-                >= report["modes"]["static"]["goodput"])
+    def test_borrowing_is_work_conserving(self, report, runs):
+        assert runs["protected"].goodput >= runs["static"].goodput
+        assert not any("[work_conservation]" in v for v in report.violations())
 
-    def test_unpoliced_mode_shows_the_contention(self, report):
-        # The unpoliced run exists to pin what the policed modes
-        # prevent: raw FIFO lets the noisy backlog inflate gold latency
-        # past what borrowing delivers.
-        gold = {m: report["modes"][m]["tenants"]["per_tenant"]["gold"]
-                for m in ("borrowing", "unpoliced")}
-        assert gold["unpoliced"]["latency_max"] > gold["borrowing"]["latency_max"]
+    def test_unpoliced_mode_shows_the_contention(self, unpoliced):
+        # The unpoliced run pins what policing prevents: raw FIFO lets
+        # the noisy backlog push gold past its SLO on every request.
+        assert unpoliced["unpoliced"].attainment["gold"] == 0.0
+        gold = {mode: _tenants(run)["gold"] for mode, run in unpoliced.items()}
+        assert gold["unpoliced"]["latency_max"] > gold["protected"]["latency_max"]
 
 
 class TestLedgers:
-    def test_borrowing_actually_borrows(self, report):
-        noisy = report["modes"]["borrowing"]["tenants"]["per_tenant"]["noisy"]
+    def test_borrowing_actually_borrows(self, runs):
+        noisy = _tenants(runs["protected"])["noisy"]
         assert noisy["ledger"]["borrowed_bytes"] > 0
 
-    def test_static_partition_never_lends(self, report):
-        per_tenant = report["modes"]["static"]["tenants"]["per_tenant"]
-        for entry in per_tenant.values():
+    def test_static_partition_never_lends(self, runs):
+        for entry in _tenants(runs["static"]).values():
             assert entry["ledger"]["lent_bytes"] == 0.0
             assert entry["ledger"]["borrowed_bytes"] == 0.0
 
-    def test_conservation_identity(self, report):
+    def test_conservation_identity(self, runs):
         # borrowed == reclaimed + outstanding per tenant, and aggregate
         # borrowed == aggregate lent: the ledger loses no bytes.
-        for mode in ("borrowing", "static"):
-            per_tenant = report["modes"][mode]["tenants"]["per_tenant"]
+        for mode in ("protected", "static"):
             borrowed = lent = 0.0
-            for entry in per_tenant.values():
+            for entry in _tenants(runs[mode]).values():
                 ledger = entry["ledger"]
                 assert ledger["borrowed_bytes"] == pytest.approx(
                     ledger["reclaimed_bytes"] + ledger["debt_outstanding"]
@@ -66,17 +82,18 @@ class TestLedgers:
 
 
 class TestReportShape:
-    def test_modes_and_gates_present(self, report):
-        assert set(report["modes"]) == {"borrowing", "static", "unpoliced"}
-        assert set(report["gates"]) == {"isolation", "work_conservation"}
-        assert report["bench"] == "tenant_fairness"
-        assert report["seed"] == 3
+    def test_modes_and_gates_present(self, report, runs):
+        assert report.baseline == "static"
+        assert set(runs) == {"protected", "static"}
+        assert [sr.seed for sr in report.seeds] == [SEED]
+        sc = get_scenario("tenant-fairness")
+        assert (sc.invariants.slo_floor, sc.invariants.min_attainment) == \
+            ("gold", 1.0)
 
-    def test_unpoliced_tenants_carry_no_ledger(self, report):
-        per_tenant = report["modes"]["unpoliced"]["tenants"]["per_tenant"]
-        for entry in per_tenant.values():
+    def test_unpoliced_tenants_carry_no_ledger(self, unpoliced):
+        for entry in _tenants(unpoliced["unpoliced"]).values():
             assert "ledger" not in entry
 
     def test_byte_identical_per_seed(self, report):
-        again = run_fairness_bench(seed=3, **SMALL)
-        assert fairness_json([report]) == fairness_json([again])
+        again = run_scenario(get_scenario("tenant-fairness"), seeds=(SEED,))
+        assert report.to_json() == again.to_json()

@@ -1,4 +1,4 @@
-"""The ``repro scenario`` surface and scenario-driven ``repro soak``."""
+"""The ``repro scenario`` surface and its ``repro soak`` alias."""
 
 import io
 import json
@@ -128,45 +128,52 @@ class TestSoakScenario:
         path = tmp_path / "ks.json"
         path.write_text(dumps_scenario(get_scenario("kitchen-sink-chaos")),
                         encoding="utf-8")
-        code, text = _run(["soak", "--scenario", str(path), "--seeds", "0"])
+        code, text = _run(["soak", str(path), "--seed", "0"])
         assert code == 0
         # The report label is the scenario's name, not the file path.
-        assert "kitchen-sink-chaos" in text
-        assert "acceptance: PASS" in text
+        assert "scenario: kitchen-sink-chaos" in text
+        assert "all invariants hold" in text
 
     def test_cli_flags_override_scenario_fields(self, tmp_path):
         path = tmp_path / "ks.json"
         path.write_text(dumps_scenario(get_scenario("kitchen-sink-chaos")),
                         encoding="utf-8")
         out = tmp_path / "soak.json"
-        code, _ = _run(["soak", "--scenario", str(path), "--seeds", "5",
-                        "--out", str(out)])
+        code, _ = _run(["soak", str(path), "--seed", "5", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert [s["seed"] for s in doc["seeds"]] == [5]
 
     def test_scenario_fields_override_soak_defaults(self, tmp_path):
-        # kitchen-sink-chaos declares seeds [0, 1]; no --seeds given.
+        # kitchen-sink-chaos declares seeds [0, 1] (chaos-soak, the
+        # alias's default scenario, runs 0-2); no --seed given.
         path = tmp_path / "ks.json"
         path.write_text(dumps_scenario(get_scenario("kitchen-sink-chaos")),
                         encoding="utf-8")
         out = tmp_path / "soak.json"
-        code, _ = _run(["soak", "--scenario", str(path), "--out", str(out)])
+        code, _ = _run(["soak", str(path), "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["scenario"] == "kitchen-sink-chaos"
         assert [s["seed"] for s in doc["seeds"]] == [0, 1]
 
     def test_bad_scenario_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x", "qos": {"nope": 1}}),
                         encoding="utf-8")
-        code, _ = _run(["soak", "--scenario", str(path)])
+        code, _ = _run(["soak", str(path)])
         assert code == 2
         assert "qos.nope" in capsys.readouterr().err
 
-    def test_plain_chaos_soak_still_works(self):
-        # Stock workload knobs (they fall back to the soak defaults
-        # when no scenario file is given).
-        code, text = _run(["soak", "--seeds", "0"])
+    def test_plain_chaos_soak_still_works(self, tmp_path):
+        # With no scenario the alias runs chaos-soak, exactly as
+        # 'scenario run chaos-soak' does.
+        out = tmp_path / "soak.json"
+        code, alias = _run(["soak", "--seed", "0", "--json",
+                            "--out", str(out)])
         assert code == 0
-        assert "chaos" in text
+        _, direct = _run(["scenario", "run", "chaos-soak", "--seed", "0",
+                          "--json"])
+        assert alias == direct
+        assert out.read_text(encoding="utf-8") == alias
+        assert json.loads(alias)["scenario"] == "chaos-soak"

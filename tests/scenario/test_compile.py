@@ -12,8 +12,7 @@ from repro.scenario import (
     compile_workload,
     get_scenario,
     scenario_from_dict,
-    soak_schedule_factory,
-    soak_spec_kwargs,
+    strip_guarantees,
     validate_scenario,
 )
 from repro.scenario.schema import ArrivalShape
@@ -89,7 +88,7 @@ class TestCompileWorkload:
 
     def test_unpoliced_strips_guarantees_keeps_demand(self):
         sc = get_scenario("noisy-neighbor-nic")
-        spec = compile_workload(sc, seed=0, unpoliced=True)
+        spec = strip_guarantees(compile_workload(sc, seed=0))
         for t in spec.tenants:
             assert t.rate is None and t.burst is None and t.ceiling is None
         assert sum(t.requests for t in spec.tenants) == sc.per_node_requests
@@ -214,6 +213,16 @@ class TestValidateScenario:
             validate_scenario(sc)
         assert "workload.kernel" in err.value.path
 
+    def test_the_baseline_pair_is_built(self, monkeypatch):
+        import repro.scenario.compile as compile_module
+
+        def refuse(spec, qos):
+            raise ValueError("cannot lower")
+
+        monkeypatch.setitem(compile_module.BASELINES, "unprotected", refuse)
+        with pytest.raises(ValueError, match="cannot lower"):
+            validate_scenario(get_scenario("noisy-neighbor-queue"))
+
     def test_deep_check_catches_engine_level_rules(self):
         # TenantSpec's burst-needs-rate rule only fires on lowering.
         sc = _scenario(workload={
@@ -223,27 +232,28 @@ class TestValidateScenario:
             validate_scenario(sc)
 
 
-class TestSoakBridge:
-    def test_scenario_fields_map_onto_soak_spec(self):
-        from repro.qos.soak import SoakSpec
+class TestBaselines:
+    def test_every_baseline_mode_but_none_has_a_lowering(self):
+        from repro.scenario import BASELINES
+        from repro.scenario.schema import BASELINE_MODES
 
-        sc = get_scenario("kitchen-sink-chaos")
-        kwargs = soak_spec_kwargs(sc)
-        spec = SoakSpec(**kwargs)
-        assert spec.scenario == "kitchen-sink-chaos"
-        assert spec.seeds == tuple(sc.run.seeds)
-        assert spec.n_requests == sc.per_node_requests
-        assert spec.request_bytes == 32 * MB
-        assert spec.tenants is True
-        assert spec.straggler is True
-        assert spec.n_fault_events == 4  # chaos overrides mapped through
+        assert set(BASELINES) == set(BASELINE_MODES) - {"none"}
 
-    def test_chaos_scenarios_use_the_native_builder(self):
-        sc = get_scenario("kitchen-sink-chaos")
-        assert soak_schedule_factory(sc) is None
+    def test_static_keeps_guarantees_and_turns_borrowing_off(self):
+        from repro.scenario import BASELINES
 
-    def test_custom_faults_build_per_seed(self):
-        sc = get_scenario("noisy-neighbor-cpu")
-        factory = soak_schedule_factory(sc)
-        assert factory is not None
-        assert len(factory(0).events) == 2
+        sc = get_scenario("tenant-fairness")
+        spec, qos = compile_workload(sc, seed=1), compile_qos(sc)
+        base_spec, base_qos = BASELINES["static"](spec, qos)
+        assert base_spec == spec
+        assert qos.tenant_borrow is True and base_qos.tenant_borrow is False
+
+    def test_unhedged_turns_the_scheduler_off_and_keeps_replicas(self):
+        from repro.scenario import BASELINES
+
+        sc = get_scenario("straggler-tail")
+        spec, qos = compile_workload(sc, seed=1), compile_qos(sc)
+        base_spec, base_qos = BASELINES["unhedged"](spec, qos)
+        assert spec.straggler_scheduler and not base_spec.straggler_scheduler
+        assert base_spec.n_replicas == spec.n_replicas == 2
+        assert base_qos is qos is None

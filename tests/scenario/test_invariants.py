@@ -5,8 +5,15 @@ import copy
 import pytest
 
 from repro.core.schemes import Scheme, run_scheme
-from repro.scenario import check_run, check_slo_floor, compile_workload, get_scenario
+from repro.scenario import (
+    check_baseline_claim,
+    check_run,
+    check_slo_floor,
+    compile_workload,
+    get_scenario,
+)
 from repro.scenario.invariants import INVARIANT_FAMILIES, Violation, tenant_attainment
+from repro.scenario.runner import ScenarioRun
 from repro.scenario.schema import InvariantShape
 
 
@@ -70,8 +77,8 @@ class TestCheckRun:
         assert str(v).startswith("[hedge] ")
 
     def test_catalogue_names_every_family(self):
-        assert {"conservation", "hedge", "ledger", "slo_floor"} \
-            <= set(INVARIANT_FAMILIES)
+        assert {"conservation", "hedge", "ledger", "slo_floor", "lifecycle",
+                "work_conservation", "tail"} == set(INVARIANT_FAMILIES)
 
 
 def _stats(attainment):
@@ -121,3 +128,46 @@ class TestSloFloor:
         assert tenant_attainment(_stats(0.75), "gold") == 0.75
         assert tenant_attainment(_stats(0.75), "absent") is None
         assert tenant_attainment({}, "gold") is None
+
+
+def _pair(mode, protected_goodput, baseline_goodput, protected_p99, baseline_p99):
+    def run(run_mode, goodput, p99):
+        return ScenarioRun(mode=run_mode, scheme="dosas", goodput=goodput,
+                           latency={"p50": p99 / 2, "p99": p99})
+    return (run("protected", protected_goodput, protected_p99),
+            run(mode, baseline_goodput, baseline_p99))
+
+
+class TestBaselineClaims:
+    def test_holding_claims_are_silent(self):
+        assert check_baseline_claim("static", *_pair("static", 2.0, 1.0, 1, 1)) == []
+        assert check_baseline_claim("unhedged", *_pair("unhedged", 1, 1, 1.0, 2.0)) == []
+
+    def test_goodput_below_static_fires_work_conservation(self):
+        violations = check_baseline_claim(
+            "static", *_pair("static", 1.0, 2.0, 1.0, 1.0)
+        )
+        assert [v.invariant for v in violations] == ["work_conservation"]
+
+    def test_p99_above_unhedged_fires_tail(self):
+        violations = check_baseline_claim(
+            "unhedged", *_pair("unhedged", 1.0, 1.0, 2.0, 1.0)
+        )
+        assert [v.invariant for v in violations] == ["tail"]
+        assert "2.000" in violations[0].message
+
+    def test_claims_belong_to_their_baseline_kind(self):
+        # A goodput drop against an unprotected baseline is not a
+        # work-conservation claim, and neither claim reads the other's
+        # numbers.
+        assert check_baseline_claim(
+            "unprotected", *_pair("unprotected", 1.0, 2.0, 2.0, 1.0)) == []
+        assert check_baseline_claim(
+            "static", *_pair("static", 2.0, 1.0, 2.0, 1.0)) == []
+
+    @pytest.mark.parametrize("side", ["protected", "baseline"])
+    @pytest.mark.parametrize("mode", ["static", "unhedged"])
+    def test_a_dead_run_on_either_side_is_silent(self, mode, side):
+        protected, baseline = _pair(mode, 0.0, 2.0, 9.0, 1.0)
+        (protected if side == "protected" else baseline).failed = "died"
+        assert check_baseline_claim(mode, protected, baseline) == []

@@ -156,6 +156,35 @@ class TestCrossFieldRules:
             )
         assert err.value.path == "run.baseline"
 
+    @pytest.mark.parametrize("data", [
+        # static without tenants
+        {"run": {"baseline": "static"}},
+        # static when the protected run does not borrow
+        {"workload": {"tenants": [{"name": "a"}]},
+         "qos": {"tenant_borrow": False}, "run": {"baseline": "static"}},
+        {"workload": {"tenants": [{"name": "a"}]},
+         "qos": {"enabled": False}, "run": {"baseline": "static"}},
+        # unhedged when the scheduler is already off
+        {"run": {"baseline": "unhedged"}},
+    ], ids=["static-no-tenants", "static-no-borrow", "static-no-qos",
+            "unhedged-no-straggler"])
+    def test_claim_baselines_need_what_they_turn_off(self, data):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict({"name": "x", **data}, source="")
+        assert err.value.path == "run.baseline"
+
+    def test_claim_baselines_accept_their_protected_side(self):
+        static = scenario_from_dict({
+            "name": "x", "workload": {"tenants": [{"name": "a"}]},
+            "run": {"baseline": "static"},
+        })
+        unhedged = scenario_from_dict({
+            "name": "y", "straggler": {"enabled": True},
+            "run": {"baseline": "unhedged"},
+        })
+        assert (static.run.baseline, unhedged.run.baseline) == \
+            ("static", "unhedged")
+
     def test_duplicate_tenant_names_are_rejected(self):
         with pytest.raises(ScenarioError):
             scenario_from_dict({

@@ -8,7 +8,6 @@ from repro.core.schemes import Scheme, WorkloadSpec, run_scheme
 from repro.faults import FaultEvent, FaultKind, FaultSchedule, stragglers
 from repro.pvfs.client import reset_parent_ids
 from repro.pvfs.requests import reset_request_ids
-from repro.straggler.bench import run_tail_bench, tail_bench_json
 
 RETRY = RetryPolicy(timeout=20.0, max_retries=6)
 
@@ -41,10 +40,11 @@ class TestDeterminism:
         assert a.qos_stats == b.qos_stats
 
     def test_same_seed_byte_identical_bench_report(self):
-        kw = dict(seed=5, n_requests=8)
-        first = tail_bench_json([run_tail_bench(**kw)])
-        second = tail_bench_json([run_tail_bench(**kw)])
-        assert first == second
+        from repro.scenario import get_scenario, run_scenario
+
+        sc = get_scenario("straggler-tail")
+        first = run_scenario(sc, seeds=(5,)).to_json()
+        assert first == run_scenario(sc, seeds=(5,)).to_json()
 
 
 class TestConservation:
