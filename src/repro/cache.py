@@ -18,8 +18,9 @@ The key is the SHA-256 of a canonical JSON document::
 Canonical means ``sort_keys=True`` with compact separators — dict
 insertion order, dataclass field order and whitespace cannot perturb
 the key.  The salt defaults to :func:`default_salt`, a hash of the
-package version plus the source text of the simulation-critical
-modules: editing the engine, the schemes or the runtime changes the
+package version plus the source text of every module in the packages
+that determine simulated results (:func:`salted_modules`): editing the
+engine, the schemes, the runtime or any other module there changes the
 salt and naturally invalidates stale entries.  Pass an explicit salt
 to pin (or bust) the namespace by hand.
 
@@ -55,52 +56,70 @@ __all__ = [
     "point_key",
     "result_to_dict",
     "result_from_dict",
+    "salted_modules",
 ]
 
-#: Modules whose source text feeds :func:`default_salt` — the layers
-#: whose behaviour determines simulated results.
-_SALT_MODULES = (
-    "repro.sim.engine",
-    "repro.sim.events",
-    "repro.sim.process",
-    "repro.sim.resources",
-    "repro.sim.store",
-    "repro.cluster.config",
-    "repro.cluster.network",
-    "repro.cluster.node",
-    "repro.pvfs.server",
-    "repro.pvfs.client",
-    "repro.core.schemes",
-    "repro.core.planrun",
-    "repro.core.runtime",
-    "repro.core.estimator",
-    "repro.core.scheduler",
-    "repro.core.model",
+#: Packages whose modules' source feeds :func:`default_salt`: every
+#: module in them can change a simulated result.  The rest of
+#: ``repro`` (analysis, cache, cli, lint, parallel, scenario, shm)
+#: orchestrates runs or reads their results, and the cache key already
+#: carries everything they pass in.
+_SALT_PACKAGES = (
+    "repro.sim",
+    "repro.cluster",
+    "repro.pvfs",
+    "repro.core",
+    "repro.kernels",
+    "repro.qos",
+    "repro.straggler",
+    "repro.faults",
+    "repro.workload",
+    "repro.obs",
 )
 
 _default_salt_memo: Optional[str] = None
 
 
+def salted_modules() -> Dict[str, str]:
+    """Module name → source path of every module :func:`default_salt` hashes.
+
+    Found by listing each package's directory, so a module added to a
+    salted package is salted without being imported or registered.
+    """
+    import repro
+
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    out: Dict[str, str] = {}
+    for package in _SALT_PACKAGES:
+        directory = os.path.join(root, *package.split(".")[1:])
+        for entry in sorted(os.listdir(directory)):
+            stem, ext = os.path.splitext(entry)
+            if ext != ".py":
+                continue
+            name = package if stem == "__init__" else f"{package}.{stem}"
+            out[name] = os.path.join(directory, entry)
+    return out
+
+
 def default_salt() -> str:
     """Code-version salt: package version + simulator source digest.
 
-    Computed once per process.  Falls back to the bare version string
-    when module sources are unreadable (zipapp, stripped install).
+    Computed once per process, on first use.  Falls back to the bare
+    version string when module sources are unreadable (zipapp,
+    stripped install).
     """
     global _default_salt_memo
     if _default_salt_memo is None:
-        import importlib
-
         import repro
 
         h = hashlib.sha256(repro.__version__.encode())
         try:
-            for name in _SALT_MODULES:
-                mod = importlib.import_module(name)
-                with open(mod.__file__, "rb") as fh:  # type: ignore[arg-type]
+            for name, path in sorted(salted_modules().items()):
+                h.update(name.encode())
+                with open(path, "rb") as fh:
                     h.update(fh.read())
-        except (OSError, TypeError, ImportError):
-            pass
+        except OSError:
+            h = hashlib.sha256(repro.__version__.encode())
         _default_salt_memo = h.hexdigest()[:16]
     return _default_salt_memo
 

@@ -94,6 +94,38 @@ class RetryPolicy:
         return delay
 
 
+def remainder_reads(reply: IOReply, per_stripe: bool) -> List[Tuple[int, int]]:
+    """The normal reads that fetch a demoted reply's unprocessed data.
+
+    The remainder is the tail of the request's extent stream.  Without
+    a retry policy each contiguous run of it is one normal read, the
+    single g(d_i) transfer paper Eq. 3 and 6 charge, read exactly the
+    way TS reads a request.  With one (``per_stripe=True``) every run
+    is split at stripe boundaries, one recovered attempt per stripe:
+    the attempt is the unit of recovery — a normal read carries no
+    checkpoint, so a lost whole-remainder attempt would re-read all of
+    it — and the unit a tenant's token bucket is debited by.  Merging
+    the runs under a retry policy as well measured, on the stackbench
+    workloads at seed 0, tenant-contention gold SLO attainment
+    1.0 → 0.667 with 24 of 48 runs failing (goodput 95.6 → 52.6 MB/s),
+    and chaos-straggler goodput 88.6 → 73.8 MB/s with p90 latency
+    5.02 → 6.42 s.
+    """
+    runs = slice_extents(reply.extents, reply.bytes_done, int(reply.remaining))
+    if not per_stripe:
+        return runs
+    assert reply.fh is not None
+    stripe = reply.fh.layout.stripe_size
+    pieces: List[Tuple[int, int]] = []
+    for position, nbytes in runs:
+        end = position + nbytes
+        while position < end:
+            stop = min(end, (position // stripe + 1) * stripe)
+            pieces.append((position, stop - position))
+            position = stop
+    return pieces
+
+
 class RetryExhausted(PVFSError):
     """A per-server piece failed/timed out beyond ``max_retries``.
 
@@ -696,17 +728,14 @@ class ActiveStorageClient:
     ) -> Generator[Event, Any, Tuple[Any, int, int]]:
         """Normal-read the remaining data and run the client-side PK.
 
+        The reads are :func:`remainder_reads`: one per contiguous run,
+        or one recovered attempt per stripe under a retry policy.
         Returns ``(partial_result, bytes_read, bytes_computed)``.
         """
         checkpoint: Optional[KernelCheckpoint] = reply.checkpoint
         done = reply.bytes_done
         remaining = int(reply.remaining)
-        # The unprocessed data is the tail of the request's extent
-        # stream — for striped requests that tail spans several file
-        # pieces; each is read with its own normal I/O.
-        pieces = slice_extents(reply.extents, done, remaining)
-
-        for file_offset, nbytes in pieces:
+        for file_offset, nbytes in remainder_reads(reply, retry is not None):
             yield from self.read(reply.fh, offset=file_offset, size=nbytes,
                                  retry=retry)
 

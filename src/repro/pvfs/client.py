@@ -87,7 +87,7 @@ class PVFSClient:
                 f"of size {fh.size}"
             )
         parent = next(_parent_counter)
-        # Per-server stripe pieces in logical order.
+        # Per-server contiguous runs in logical order.
         pieces_by_server = fh.layout.extents_by_server(offset, size)
         # One server holds the whole extent: no order to fix, no sum.
         single = len(pieces_by_server) == 1

@@ -129,11 +129,11 @@ class StripeLayout:
         return out
 
     def map_extent(self, offset: int, size: int) -> List[StripeExtent]:
-        """Split ``[offset, offset+size)`` into per-server pieces.
+        """Split ``[offset, offset+size)`` into per-stripe pieces.
 
-        Pieces come back in logical-offset order; adjacent same-server
-        pieces are *not* merged (each is one stripe or a fragment),
-        because the server processes stripes independently.
+        Pieces come back in logical-offset order, one per stripe or
+        stripe fragment; adjacent same-server pieces are *not* merged.
+        :meth:`extents_by_server` is the coalesced view requests carry.
         """
         if offset < 0:
             raise ValueError(f"negative offset {offset}")
@@ -159,12 +159,13 @@ class StripeLayout:
     def extents_by_server(
         self, offset: int, size: int
     ) -> Dict[int, List[Tuple[int, int]]]:
-        """:meth:`map_extent`'s pieces grouped per server.
+        """The extent's maximal contiguous runs, grouped per server.
 
-        Each server's pieces come as ``(logical_offset, length)`` pairs
-        in logical order — the same pieces :meth:`map_extent` returns,
-        computed stripe by stripe without a :class:`StripeExtent` or a
-        :meth:`server_of` call per stripe.
+        Each server's runs come as ``(logical_offset, length)`` pairs
+        in logical order: :meth:`map_extent`'s pieces with adjacent
+        same-server pieces coalesced, computed without a
+        :class:`StripeExtent` or a :meth:`server_of` call per stripe.
+        A width-1 file's extent is one run, whatever its length.
         """
         if offset < 0:
             raise ValueError(f"negative offset {offset}")
@@ -172,8 +173,8 @@ class StripeLayout:
             raise ValueError(f"negative size {size}")
         end = offset + size
         index = offset // self.stripe_size
-        if end <= (index + 1) * self.stripe_size:
-            # Inside one stripe: most reads are a stripe or less.
+        if self.n_servers == 1 or end <= (index + 1) * self.stripe_size:
+            # One server or one stripe: the whole extent is one run.
             if not size:
                 return {}
             slot = (self.first_server + index) % self.n_servers
@@ -183,9 +184,11 @@ class StripeLayout:
         while position < end:
             stop = min(end, (index + 1) * self.stripe_size)
             slot = (self.first_server + index) % self.n_servers
-            out.setdefault(self.server_list[slot], []).append(
-                (position, stop - position)
-            )
+            runs = out.setdefault(self.server_list[slot], [])
+            if runs and runs[-1][0] + runs[-1][1] == position:
+                runs[-1] = (runs[-1][0], stop - runs[-1][0])
+            else:
+                runs.append((position, stop - position))
             position = stop
             index += 1
         return out

@@ -61,12 +61,12 @@ def slice_extents(
 ) -> List[Tuple[int, int]]:
     """Map a range of the *concatenated* extent stream to file pieces.
 
-    A striped request's data is the concatenation of its (possibly
+    A request's data is the concatenation of its (possibly
     non-contiguous) ``(file_offset, nbytes)`` extents in logical
     order.  Checkpoints count progress along that stream; this helper
     translates stream position ``[start, start+length)`` back to file
-    extents, so both the runtime and the ASC read exactly the right
-    stripes when resuming.
+    extents, one per extent touched, so both the runtime and the ASC
+    read exactly the right bytes when resuming.
     """
     if start < 0 or length < 0:
         raise ValueError("start and length must be non-negative")
@@ -167,10 +167,12 @@ class IORequest:
     tenant: Optional[str] = None
     #: WRITE requests may carry real bytes (None in timing-only runs).
     payload: Optional[np.ndarray] = None
-    #: The exact file pieces this request covers, as
-    #: ``((file_offset, nbytes), …)`` in logical order.  For an
-    #: unstriped request this is just ``((offset, size),)``; striped
-    #: requests list each of the server's stripes.
+    #: The exact file bytes this request covers, as maximal
+    #: contiguous runs ``((file_offset, nbytes), …)`` in logical order.
+    #: A width-1 file's request is just ``((offset, size),)``; a request
+    #: on a wider layout lists each of the server's runs.  Extents only
+    #: map bytes (kernel data, write payloads, checkpoint positions):
+    #: the server serves the request as one transfer of ``size``.
     extents: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
@@ -252,7 +254,7 @@ class IOReply:
     served_active: bool = False
     finished_at: float = 0.0
     #: The request's extent list (see :attr:`IORequest.extents`),
-    #: echoed back so the ASC can finish demoted striped requests.
+    #: echoed back so the ASC can read a demoted request's remainder.
     extents: Tuple[Tuple[int, int], ...] = ()
     #: Bytes of the extent stream already folded into ``checkpoint``.
     bytes_done: int = 0

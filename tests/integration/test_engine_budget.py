@@ -1,20 +1,23 @@
 """Engine-work ratchet on one fixed paper point.
 
 DOSAS, gaussian2d, 1 GB per request, 8 requests, one storage node,
-jitter off.  The work the point does is pinned exactly: server
-requests, demotions and makespan.  The engine overhead spent on that
-work — scheduler pushes and ``Process`` constructions — may only fall.
-When a change lowers a count, lower its budget to the new value in
-the same change; never raise a budget to admit a regression.  The
-Contention Estimator's probes read the I/O queue's counters and never
-scan ``IOServer.outstanding``.
+jitter off, run twice: without a retry policy, where each demoted
+request's remainder is one normal read, and with one, where the
+remainder is read one recovered attempt per 4 MB stripe.  The work
+each run does is pinned exactly: server requests, demotions and
+makespan.  The engine overhead spent on that work — scheduler pushes
+and ``Process`` constructions — may only fall.  When a change lowers a
+count, lower its budget to the new value in the same change; never
+raise a budget to admit a regression.  The Contention Estimator's
+probes read the I/O queue's counters and never scan
+``IOServer.outstanding``.
 """
 
 import pytest
 
 from repro.cluster import ClusterTopology, discfarm_config
 from repro.cluster.config import MB
-from repro.core import Scheme, WorkloadSpec, run_scheme
+from repro.core import RetryPolicy, Scheme, WorkloadSpec, run_scheme
 from repro.pvfs import IOKind, IORequest, IOServer, MetadataServer
 from repro.pvfs.requests import next_request_id
 from repro.sim import Environment
@@ -27,13 +30,22 @@ SPEC = WorkloadSpec(
 )
 
 #: Exact: the work itself.
-SERVER_REQUESTS = 2056  # 8 active requests + 8 × 256 demoted stripe reads
+SERVER_REQUESTS = 16  # 8 active requests + 8 one-read demoted remainders
 DEMOTED = 8
-MAKESPAN = 82.22372881356193
+MAKESPAN = 82.22372881355932
 
 #: Ceilings: engine overhead per run.
-PUSH_BUDGET = 8573  # 18821 while each normal read spawned two processes
+#: 8573 while each remainder was re-read as 256 stripe reads; 18821
+#: before that, while each normal read spawned two processes.
+PUSH_BUDGET = 413
 PROCESS_BUDGET = 10  # 4106 while each normal read spawned two processes
+
+#: The same point under a retry policy: one attempt per stripe.
+RETRY = RetryPolicy(timeout=60)
+RETRY_SERVER_REQUESTS = 2056  # 8 active requests + 8 × 256 stripe attempts
+RETRY_MAKESPAN = 82.22372881356193
+RETRY_PUSH_BUDGET = 18853
+RETRY_PROCESS_BUDGET = 2066  # one recovery process per attempt, plus 10
 #: Iterations over ``IOServer.outstanding`` and the records they visit
 #: (329 and 2222 while every probe scanned the queue).
 QUEUE_SCAN_BUDGET = 0
@@ -101,6 +113,17 @@ def test_fixed_point_work_is_exact_and_overhead_within_budget(counters):
     assert counters["processes"] <= PROCESS_BUDGET
     assert counters["queue_scans"] <= QUEUE_SCAN_BUDGET
     assert counters["queue_records"] <= QUEUE_SCAN_BUDGET
+
+
+def test_retry_point_reads_the_remainder_one_stripe_per_attempt(counters):
+    result = run_scheme(Scheme.DOSAS, SPEC, retry_policy=RETRY)
+    received = sum(m["requests_received"] for m in result.server_metrics)
+    assert received == RETRY_SERVER_REQUESTS
+    assert result.demoted == DEMOTED
+    assert result.makespan == RETRY_MAKESPAN
+    assert counters["pushes"] <= RETRY_PUSH_BUDGET
+    assert counters["processes"] <= RETRY_PROCESS_BUDGET
+    assert counters["queue_scans"] <= QUEUE_SCAN_BUDGET
 
 
 def test_bare_normal_read_spawns_no_process(counters):

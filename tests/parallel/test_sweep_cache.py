@@ -7,10 +7,20 @@ cache hit must reproduce the simulation it memoised.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.cache import ResultCache, point_key, result_from_dict, result_to_dict
+import repro
+from repro.cache import (
+    ResultCache,
+    point_key,
+    result_from_dict,
+    result_to_dict,
+    salted_modules,
+)
 from repro.cluster.config import MB
 from repro.core import DEFAULT_SEED, resolve_seed
 from repro.core.planrun import PlanResult, run_plan
@@ -206,6 +216,38 @@ class TestResultCache:
             fh.write("{not json")
         assert cache.get(key) is None
         assert cache.misses == 1
+
+    def test_every_simulation_module_a_protected_run_loads_is_salted(self):
+        """A fresh interpreter runs the chaos, straggler and tenant
+        library scenarios; each ``repro`` module it loads is salted or
+        belongs to the harness that orchestrates runs, whose inputs the
+        cache key already carries."""
+        script = (
+            "import sys\n"
+            "from repro.scenario import get_scenario, run_scenario\n"
+            "for name in ('kitchen-sink-chaos', 'straggler-tail',"
+            " 'tenant-fairness'):\n"
+            "    run_scenario(get_scenario(name), seeds=(0,))\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('repro')))\n"
+        )
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        loaded = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout.split()
+        harness = ("repro.cache", "repro.parallel", "repro.scenario",
+                   "repro.shm")
+        salted = salted_modules()
+        unsalted = [
+            name for name in loaded
+            if name != "repro" and name not in salted
+            and not any(name == h or name.startswith(h + ".") for h in harness)
+        ]
+        assert unsalted == []
+        for name in ("repro.core.asc", "repro.pvfs.layout", "repro.faults.injector",
+                     "repro.qos.tenancy", "repro.straggler.dispatch"):
+            assert name in loaded and name in salted
 
     def test_key_distinguishes_every_input(self):
         spec = WorkloadSpec(**SMALL)

@@ -99,12 +99,18 @@ def test_extent_partition_property(stripe_size, n_servers, offset,
 
 
 def _grouped_reference(layout, offset, size):
-    """map_extent's pieces grouped by server, in logical order."""
-    grouped = {}
+    """map_extent's pieces, same-server neighbours coalesced, grouped
+    by server in logical order."""
+    runs = []
     for piece in layout.map_extent(offset, size):
-        grouped.setdefault(piece.server, []).append(
-            (piece.logical_offset, piece.length)
-        )
+        if runs and runs[-1][0] == piece.server:
+            server, start, length = runs[-1]
+            runs[-1] = (server, start, length + piece.length)
+        else:
+            runs.append((piece.server, piece.logical_offset, piece.length))
+    grouped = {}
+    for server, start, length in runs:
+        grouped.setdefault(server, []).append((start, length))
     return grouped
 
 
@@ -162,6 +168,17 @@ def test_extents_by_server_edges():
     assert layout.extents_by_server(13, 8) == {4: [(13, 7)], 7: [(20, 1)]}
     assert layout.extents_by_server(20, 0) == {}
     assert layout.extents_by_server(0, 1) == {7: [(0, 1)]}
+
+
+def test_extents_by_server_coalesces_contiguous_runs():
+    # Width 1: any extent is one run, however many stripes it spans.
+    narrow = StripeLayout(stripe_size=10, n_servers=1, server_list=[3])
+    assert narrow.extents_by_server(5, 1000) == {3: [(5, 1000)]}
+    assert narrow.extents_by_server(0, 0) == {}
+    # Two slots backed by one server: their stripes touch and merge.
+    shared = StripeLayout(stripe_size=10, n_servers=3, server_list=[2, 2, 5])
+    assert shared.extents_by_server(5, 40) == {2: [(5, 15), (30, 15)],
+                                              5: [(20, 10)]}
 
 
 @pytest.mark.parametrize("offset, size", [(-1, 5), (0, -5), (-3, -3)])
