@@ -25,11 +25,11 @@ salt and naturally invalidates stale entries.  Pass an explicit salt
 to pin (or bust) the namespace by hand.
 
 Entries are one JSON file per key (sharded by the key's first two hex
-chars) holding the serialised :class:`~repro.core.SchemeResult` or
-:class:`~repro.core.PlanResult`.  Numpy payloads (kernel results) are
-stored as nested lists and come back as lists, which is sufficient for
-every analysis consumer; the simulated *numbers* round-trip exactly
-because JSON floats are IEEE doubles.
+chars) holding the serialised :class:`~repro.core.SchemeResult` (a
+:class:`~repro.core.PlanResult` adds its outcomes).  Numpy payloads
+(kernel results) are stored as nested lists and come back as lists,
+which is sufficient for every analysis consumer; the simulated
+*numbers* round-trip exactly because JSON floats are IEEE doubles.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from repro.obs.metrics import MetricsRegistry
 
 _log = logging.getLogger("repro.cache")
 
-from repro.core.planrun import PlanResult, RequestOutcome
-from repro.core.schemes import Scheme, SchemeResult, WorkloadSpec
+from repro.core.planrun import PlanResult
+from repro.core.schemes import RequestOutcome, Scheme, SchemeResult, WorkloadSpec
 from repro.workload.generator import PlannedRequest, RequestPlan
 
 __all__ = [
@@ -163,63 +163,28 @@ def point_key(
 
 # -- result (de)serialisation -------------------------------------------------
 
-def result_to_dict(result: Union[SchemeResult, PlanResult]) -> dict:
-    """JSON-safe document for either result type."""
-    if isinstance(result, SchemeResult):
-        d = asdict(result)
-        d["scheme"] = result.scheme.value
-        d["results"] = _jsonable(result.results)
-        return {"type": "scheme", "data": _jsonable(d)}
-    if isinstance(result, PlanResult):
-        return {
-            "type": "plan",
-            "data": {
-                "scheme": result.scheme.value,
-                "outcomes": [
-                    {
-                        "request": asdict(o.request),
-                        "started_at": o.started_at,
-                        "finished_at": o.finished_at,
-                        "result": _jsonable(o.result),
-                        "disposition": o.disposition,
-                    }
-                    for o in result.outcomes
-                ],
-                "served_active": result.served_active,
-                "demoted": result.demoted,
-                "interrupted": result.interrupted,
-                "retries": result.retries,
-                "retry_timeouts": result.retry_timeouts,
-                "failed_requests": result.failed_requests,
-                "wasted_bytes": result.wasted_bytes,
-                "fault_log": _jsonable(result.fault_log),
-                "retry_events": _jsonable(result.retry_events),
-            },
-        }
-    raise TypeError(f"cannot serialise {type(result).__name__}")
+def result_to_dict(result: SchemeResult) -> dict:
+    """JSON-safe document for a run's record (plan or scheme)."""
+    d = asdict(result)
+    d["scheme"] = result.scheme.value
+    kind = "plan" if isinstance(result, PlanResult) else "scheme"
+    return {"type": kind, "data": _jsonable(d)}
 
 
-def result_from_dict(doc: dict) -> Union[SchemeResult, PlanResult]:
+def result_from_dict(doc: dict) -> SchemeResult:
     """Inverse of :func:`result_to_dict`."""
     kind, data = doc["type"], dict(doc["data"])
+    if kind not in ("scheme", "plan"):
+        raise ValueError(f"unknown result document type {kind!r}")
+    data["scheme"] = Scheme(data["scheme"])
+    data["spec"] = WorkloadSpec(**data["spec"])
     if kind == "scheme":
-        data["scheme"] = Scheme(data["scheme"])
-        data["spec"] = WorkloadSpec(**data["spec"])
         return SchemeResult(**data)
-    if kind == "plan":
-        data["scheme"] = Scheme(data["scheme"])
-        data["outcomes"] = [
-            RequestOutcome(
-                request=PlannedRequest(**o["request"]),
-                started_at=o["started_at"],
-                finished_at=o["finished_at"],
-                result=o["result"],
-                disposition=o["disposition"],
-            )
-            for o in data["outcomes"]
-        ]
-        return PlanResult(**data)
-    raise ValueError(f"unknown result document type {kind!r}")
+    data["outcomes"] = [
+        RequestOutcome(**{**o, "request": PlannedRequest(**o["request"])})
+        for o in data["outcomes"]
+    ]
+    return PlanResult(**data)
 
 
 class ResultCache:
@@ -269,7 +234,7 @@ class ResultCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".json")
 
-    def get(self, key: str) -> Optional[Union[SchemeResult, PlanResult]]:
+    def get(self, key: str) -> Optional[SchemeResult]:
         """The memoised result, or ``None`` on a miss.
 
         An entry that exists but cannot be read or decoded degrades to
@@ -304,7 +269,7 @@ class ResultCache:
         _log.debug("result cache: %s %s treated as a miss: %s: %s",
                    why, path, type(exc).__name__, exc)
 
-    def put(self, key: str, result: Union[SchemeResult, PlanResult]) -> None:
+    def put(self, key: str, result: SchemeResult) -> None:
         """Store ``result`` under ``key`` (atomic rename, last wins)."""
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -282,18 +282,28 @@ class FairShareLink(Link):
         return self.bandwidth * self._derate * flow.scale / len(self._flows)
 
     def _advance(self) -> None:
-        """Drain bytes for the time elapsed since the last update."""
+        """Drain bytes for the time elapsed since the last update.
+
+        A flow completes when under a nanobyte remains, or when the
+        time left to drain it no longer advances the clock
+        (``now + eta == now``): re-arming a wake-up for it would fire
+        at ``now`` again, forever.
+        """
         now = self.env.now
         dt = now - self._last_update
         self._last_update = now
-        if dt <= 0 or not self._flows:
+        if not self._flows:
             return
         finished: List[_Flow] = []
         for flow in self._flows:
-            moved = self._per_flow_rate(flow) * dt
-            flow.remaining -= moved
-            self.bytes_transferred += min(moved, moved + flow.remaining)
-            if flow.remaining <= 1e-9:
+            rate = self._per_flow_rate(flow)
+            if dt > 0:
+                moved = rate * dt
+                flow.remaining -= moved
+                self.bytes_transferred += min(moved, moved + flow.remaining)
+            if flow.remaining <= 1e-9 or (
+                rate > 0 and now + flow.remaining / rate == now
+            ):
                 finished.append(flow)
         for flow in finished:
             self._flows.remove(flow)

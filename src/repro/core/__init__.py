@@ -22,9 +22,11 @@ Components (paper Sec. III):
     Active Storage Server and Active Storage Client — the two deployed
     halves wiring runtime+estimator to the PVFS server and finishing
     demoted work on compute nodes.
-``schemes``
-    End-to-end TS / AS / DOSAS workload runners producing the numbers
-    behind every figure in the paper's evaluation.
+``schemes`` / ``planrun``
+    The one run driver (``build_system`` → client processes →
+    ``drive`` → ``summarise``) and its two lowerings: ``run_scheme``
+    for the paper's TS / AS / DOSAS batches behind every evaluation
+    figure, ``run_plan`` for Figure 1's multi-application plans.
 """
 
 from repro.core.model import CostModel, RequestCost, SchedulingInstance
@@ -54,13 +56,14 @@ from repro.core.asc import (
 )
 from repro.core.schemes import (
     DEFAULT_SEED,
+    RequestOutcome,
     Scheme,
     SchemeResult,
     WorkloadSpec,
     resolve_seed,
     run_scheme,
 )
-from repro.core.planrun import PlanResult, RequestOutcome, run_plan
+from repro.core.planrun import PlanResult, run_plan
 from repro.core.advisor import Advisor, Prediction
 from repro.core.estimators_ext import (
     HysteresisDOSASEstimator,

@@ -4,97 +4,46 @@
 ``run_plan`` generalises to the Figure-1 scenario — several
 applications, mixed active and normal I/O, staggered arrivals,
 multiple requests per process — which the examples and the extension
-benchmarks exercise.
+benchmarks exercise.  Both lower onto the one driver of
+:mod:`repro.core.schemes`: the same machine, the same client
+processes, the same result record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.engine import Environment
-from repro.sim.events import AllOf, Event
-from repro.cluster.config import NodeSpec, discfarm_config
-from repro.cluster.probe import NodeProber
-from repro.cluster.topology import ClusterTopology
-from repro.kernels.registry import default_registry
-from repro.pvfs.client import PVFSClient
 from repro.pvfs.filehandle import FileHandle
-from repro.pvfs.metadata import MetadataServer
-from repro.pvfs.server import IOServer
-from repro.core.asc import ActiveStorageClient, RetryPolicy
-from repro.core.ass import ActiveStorageServer
-from repro.core.runtime import RuntimeConfig
+from repro.core.asc import RetryPolicy
 from repro.core.schemes import (
+    ClientProcess,
+    RequestOutcome,
     Scheme,
+    SchemeResult,
     WorkloadSpec,
-    _build_estimator,
-    cost_models_from_registry,
-    resolve_seed,
+    build_system,
+    drive,
+    summarise,
 )
-from repro.sim.exceptions import SimulationError
 from repro.workload.generator import PlannedRequest, RequestPlan
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.injector import FaultInjector
     from repro.faults.schedule import FaultSchedule
     from repro.obs.tracer import Tracer
 
-
 @dataclass
-class RequestOutcome:
-    """Completion record of one planned request."""
+class PlanResult(SchemeResult):
+    """A :class:`SchemeResult` plus the plan's per-request outcomes.
 
-    request: PlannedRequest
-    started_at: float
-    finished_at: float
-    result: object = None
-    #: "normal" | "offloaded" | "demoted" | "mixed" (striped requests
-    #: may split across dispositions).
-    disposition: str = "normal"
+    ``spec`` is the machine the plan ran on; every derived number
+    (``bandwidth``, ``demoted``, ``mean_latency``…) counts the plan's
+    own requests.
+    """
 
-    @property
-    def latency(self) -> float:
-        """Issue-to-completion time."""
-        return self.finished_at - self.started_at
-
-
-@dataclass
-class PlanResult:
-    """Outcome of running one plan under one scheme."""
-
-    scheme: Scheme
+    #: One per planned request, in completion order.
     outcomes: List[RequestOutcome] = field(default_factory=list)
-    served_active: int = 0
-    demoted: int = 0
-    interrupted: int = 0
-    #: Fault-run extras (all zero/empty for fault-free runs).
-    retries: int = 0
-    retry_timeouts: int = 0
-    failed_requests: int = 0
-    wasted_bytes: int = 0
-    fault_log: List[Dict[str, Any]] = field(default_factory=list)
-    retry_events: List[Dict[str, Any]] = field(default_factory=list)
-
-    def _require_outcomes(self, metric: str) -> None:
-        if not self.outcomes:
-            raise SimulationError(
-                f"{metric} is undefined: the run completed no requests "
-                "(a watchdog-aborted fault run, or a plan whose every "
-                "request failed)"
-            )
-
-    @property
-    def makespan(self) -> float:
-        """Latest completion time."""
-        self._require_outcomes("makespan")
-        return max(o.finished_at for o in self.outcomes)
-
-    @property
-    def mean_latency(self) -> float:
-        """Mean per-request latency."""
-        self._require_outcomes("mean_latency")
-        return sum(o.latency for o in self.outcomes) / len(self.outcomes)
 
     def latencies_by_app(self) -> Dict[str, List[float]]:
         """App name → its request latencies."""
@@ -116,9 +65,14 @@ def run_plan(
 ) -> PlanResult:
     """Run ``plan`` under ``scheme``.
 
-    ``spec`` supplies the machine knobs (storage nodes, overheads,
-    jitter…); its per-request fields (kernel, count, size) are ignored
-    in favour of the plan's own.  Files are created per request,
+    ``spec`` supplies the machine knobs (storage nodes, cores, link
+    sharing, jitter, overheads, estimator variant, replicas and
+    straggler dispatch…); its per-request fields (kernel, count, size)
+    are ignored in favour of the plan's own.  A spec with ``tenants``
+    is refused: a planned request carries no tenant, so the mix could
+    not be policed.  Each ``(app, process_index)`` is one client
+    process, in sorted order on its own compute node, issuing its
+    requests in arrival order; files are created per request,
     round-robin across storage nodes.
 
     ``fault_schedule`` / ``retry_policy`` / ``max_virtual_time`` behave
@@ -132,14 +86,10 @@ def run_plan(
     if not len(plan):
         raise ValueError("empty plan")
     spec = spec or WorkloadSpec()
-    retry = retry_policy or (
-        fault_schedule.retry if fault_schedule is not None else None
-    )
-
-    env = Environment(scheduler=sim_scheduler)
-    if tracer is not None:
-        env.tracer = tracer
-    seed = resolve_seed(spec.seed)
+    if spec.tenants:
+        raise ValueError(
+            "run_plan takes no tenant mix: a planned request has no tenant"
+        )
     # Requests are keyed by their enumeration index in the plan — never
     # by id(): a recycled object address (plans rebuilt between calls,
     # GC reuse) would silently alias two requests to one file handle.
@@ -149,63 +99,14 @@ def run_plan(
         by_process.setdefault((req.app, req.process_index), []).append((idx, req))
     for entries in by_process.values():
         entries.sort(key=lambda e: (e[1].arrival_time, e[1].sequence))
-    n_compute = max(1, len(by_process))
-    config = discfarm_config(
-        n_storage=spec.n_storage, n_compute=n_compute, jitter=spec.jitter
-    ).with_(
-        storage_spec=NodeSpec(cores=spec.storage_cores),
-        compute_spec=NodeSpec(cores=spec.compute_cores),
-        network_latency=spec.network_latency,
-        seed=seed,
+
+    env = Environment(scheduler=sim_scheduler)
+    if tracer is not None:
+        env.tracer = tracer
+    system = build_system(
+        env, scheme, spec, fault_schedule, n_compute=len(by_process)
     )
-    topo = ClusterTopology(env, config)
-    mds = MetadataServer(spec.n_storage, config.stripe_size)
-    servers = [
-        IOServer(env, sn, topo.link_for(sn), mds, config, server_index=i)
-        for i, sn in enumerate(topo.storage_nodes)
-    ]
-    registry = default_registry
-    # Kernel lookups, precomputed once per run: the cost-model table
-    # for the estimators and the per-operation kernels the TS path
-    # executes client-side.
-    kernel_models = (
-        cost_models_from_registry(registry)
-        if scheme is Scheme.DOSAS else None
-    )
-    kernel_by_op = {
-        op: registry.get(op)
-        for op in sorted({r.operation for r in plan if r.operation is not None})
-    }
-    asses: List[ActiveStorageServer] = []
-    if scheme in (Scheme.AS, Scheme.DOSAS):
-        runtime_config = RuntimeConfig(
-            kernel_slots=spec.kernel_slots,
-            execute_kernels=spec.execute_kernels,
-            invocation_overhead=spec.kernel_overhead,
-        )
-        for server in servers:
-            prober = NodeProber(server.node, server.queue_stats)
-            estimator = _build_estimator(
-                scheme, spec, prober, config, registry,
-                stale_probe_timeout=(
-                    fault_schedule.stale_probe_timeout
-                    if fault_schedule is not None else None
-                ),
-                kernel_models=kernel_models,
-            )
-            asses.append(
-                ActiveStorageServer(
-                    env, server, estimator, registry=registry, config=runtime_config
-                )
-            )
-
-    injector: Optional["FaultInjector"] = None
-    if fault_schedule is not None:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(env, servers, fault_schedule).start()
-
-    # One file per planned request, keyed by plan index.
+    seed, mds = system.seed, system.mds
     handles: List[FileHandle] = []
     for idx, req in indexed:
         meta = (
@@ -220,88 +121,13 @@ def run_plan(
             first_server=idx % spec.n_storage,
             seed=seed + idx,
             meta=meta,
+            n_replicas=spec.n_replicas,
         )
         handles.append(mds.open(f.name))
 
-    outcomes: List[RequestOutcome] = []
-    ascs: List[ActiveStorageClient] = []
-
-    def _process(
-        proc_index: int, requests: List[Tuple[int, PlannedRequest]]
-    ) -> Generator[Event, Any, None]:
-        node = topo.compute_node(proc_index % len(topo.compute_nodes))
-        client = PVFSClient(env, node, servers, mds)
-        asc = ActiveStorageClient(
-            env, node, client, registry=registry,
-            execute_kernels=spec.execute_kernels,
-        )
-        ascs.append(asc)
-        for idx, req in requests:
-            if env.now < req.arrival_time:
-                yield env.timeout(req.arrival_time - env.now)
-            started = env.now
-            fh = handles[idx]
-            result = None
-            disposition = "normal"
-            if req.active and scheme is not Scheme.TS:
-                # Active planned requests always name an operation.
-                assert req.operation is not None
-                outcome = yield from asc.read_ex(fh, req.operation, retry=retry)
-                result = outcome.result
-                if outcome.demotions == 0:
-                    disposition = "offloaded"
-                elif outcome.demotions == len(outcome.served_active):
-                    disposition = "demoted"
-                else:
-                    disposition = "mixed"
-            else:
-                yield from asc.read(fh, retry=retry)
-                if req.active:
-                    # TS: the kernel runs client-side after the read.
-                    assert req.operation is not None
-                    kernel = kernel_by_op[req.operation]
-                    yield from node.cpu.compute(float(req.size), kernel.rate)
-            outcomes.append(
-                RequestOutcome(
-                    request=req, started_at=started, finished_at=env.now,
-                    result=result, disposition=disposition,
-                )
-            )
-
-    procs = [
-        env.process(_process(i, entries))
-        for i, ((_app, _pidx), entries) in enumerate(sorted(by_process.items()))
+    clients = [
+        ClientProcess(k, [(req, handles[idx]) for idx, req in entries])
+        for k, (_key, entries) in enumerate(sorted(by_process.items()))
     ]
-    done = AllOf(env, procs)
-    deadline = max_virtual_time or (
-        fault_schedule.horizon if fault_schedule is not None else None
-    )
-    if deadline is not None:
-        from repro.faults.injector import run_with_watchdog
-
-        run_with_watchdog(env, done, deadline)
-    else:
-        env.run(until=done)
-
-    result = PlanResult(scheme=scheme, outcomes=outcomes)
-    for ass in asses:
-        stats = ass.stats
-        result.served_active += stats["served_active"]
-        # Interrupted kernels were migrated — the client finished them,
-        # so they count among the demotions.
-        result.demoted += (
-            stats["demoted_new"]
-            + stats["demoted_queued"]
-            + stats["interrupted"]
-        )
-        result.interrupted += stats["interrupted"]
-        result.failed_requests += stats["failed"]
-        result.wasted_bytes += stats["wasted_bytes"]
-    result.retries = sum(a.stats["retries"] for a in ascs)
-    result.retry_timeouts = sum(a.stats["retry_timeouts"] for a in ascs)
-    result.retry_events = sorted(
-        (e for a in ascs for e in a.retry_log),
-        key=lambda e: (e["time"], e["rid"], e["attempt"]),
-    )
-    result.fault_log = list(injector.log) if injector is not None else []
-    return result
+    outcomes = drive(system, clients, retry_policy, max_virtual_time)
+    return PlanResult(**summarise(system, outcomes), outcomes=outcomes)

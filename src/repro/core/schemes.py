@@ -10,10 +10,15 @@
   operations are dynamically scheduled according to the system
   situation of storage nodes."
 
-``run_scheme`` builds the whole machine (cluster, PVFS, ASS/ASC),
-executes the workload and returns a :class:`SchemeResult` with the
-total execution time, per-request latencies, achieved bandwidth and
-the decision trace — the raw material for every evaluation figure.
+This module holds the one run driver.  :func:`build_system` assembles
+the machine (cluster, PVFS, ASS/ASC, protection stack) from a
+:class:`WorkloadSpec`; :func:`drive` runs an ordered list of
+:class:`ClientProcess` records on it; :func:`summarise` folds the run
+into a :class:`SchemeResult` — total execution time, per-request latencies,
+achieved bandwidth and the decision trace, the raw material for every
+evaluation figure.  ``run_scheme`` lowers a homogeneous batch onto
+that driver; :func:`repro.core.planrun.run_plan` lowers a multi-app
+:class:`~repro.workload.generator.RequestPlan`.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf, Event
 from repro.cluster.config import ClusterConfig, MB, NodeSpec, discfarm_config
-from repro.cluster.network import SerialLink
+from repro.cluster.network import FairShareLink, SerialLink
 from repro.cluster.probe import NodeProber
 from repro.cluster.topology import ClusterTopology
+from repro.kernels.base import Kernel
 from repro.kernels.costs import KernelCostModel
 from repro.kernels.registry import KernelRegistry, default_registry
 from repro.pvfs.client import PVFSClient
@@ -46,6 +52,7 @@ from repro.qos import (
 )
 from repro.core.asc import ActiveStorageClient, RetryPolicy
 from repro.straggler import LatencyBoard, StragglerConfig, StragglerDispatcher
+from repro.workload.generator import PlannedRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
@@ -238,16 +245,34 @@ class WorkloadSpec:
 
 @dataclass
 class SchemeResult:
-    """Outcome of one scheme run."""
+    """Outcome of one run — the record both lowerings return.
+
+    ``run_scheme`` returns it as is; ``run_plan`` returns a
+    :class:`~repro.core.planrun.PlanResult`, this record plus the
+    per-request outcomes.  Every derived number has one definition,
+    whichever lowering produced the run.
+    """
 
     scheme: Scheme
     spec: WorkloadSpec
+    #: Latest request completion time.
     makespan: float
+    #: Absolute finish time of every measured request, sorted.
     per_request_times: List[float]
+    #: Requested bytes (each counted once) per second of makespan.
     bandwidth: float
+    #: Active requests the servers completed.
     served_active: int
+    #: Active requests finished client-side.  TS: every active request
+    #: (its kernel always runs at the client).  AS/DOSAS: the servers'
+    #: demotions — refused at intake or while queued, interrupted
+    #: mid-kernel, or shed under overload.
     demoted: int
+    #: Kernels checkpointed and migrated mid-run (counted in ``demoted``).
     interrupted: int
+    #: Kernel results (``execute_kernels`` runs only), one per measured
+    #: request in record order: request index for ``run_scheme``,
+    #: completion order for ``run_plan``; ``None`` for a normal read.
     results: List[Any] = field(default_factory=list)
     policy_values: List[float] = field(default_factory=list)
     #: Fault-run extras (all zero/empty for fault-free runs).
@@ -270,27 +295,61 @@ class SchemeResult:
     hedges_issued: int = 0
     hedges_won: int = 0
     hedges_wasted: int = 0
-    #: Per-request latency (finish − its own arrival), sorted — the
-    #: tail-latency bench's raw material.  ``per_request_times`` keeps
-    #: absolute finish times for backwards compatibility.
+    #: Per-request latency, sorted: finish minus the request's own
+    #: arrival, the moment its process issued it (its arrival time, or
+    #: later if the process was still busy) — the tail-latency bench's
+    #: raw material.
     per_request_latencies: List[float] = field(default_factory=list)
 
     @property
     def mean_latency(self) -> float:
-        """Mean per-request completion time."""
-        return sum(self.per_request_times) / len(self.per_request_times)
+        """Mean per-request latency (finish minus the request's own arrival)."""
+        return sum(self.per_request_latencies) / len(self.per_request_latencies)
 
     @property
     def goodput(self) -> float:
-        """Useful bytes per second of makespan.
+        """Useful bytes per second of makespan: the ``bandwidth`` field.
 
         "Useful" counts each requested byte once — retries that re-read
         or re-process data add wall-clock but no goodput, which is what
         makes this the headline metric under faults.
         """
-        if self.makespan <= 0:
-            return float("inf")
-        return self.spec.total_bytes / self.makespan
+        return self.bandwidth
+
+
+@dataclass
+class RequestOutcome:
+    """Completion record of one request."""
+
+    request: PlannedRequest
+    started_at: float
+    finished_at: float
+    result: object = None
+    #: "normal" | "offloaded" | "demoted" | "mixed" (striped requests
+    #: may split across dispositions).
+    disposition: str = "normal"
+
+    @property
+    def latency(self) -> float:
+        """Issue-to-completion time."""
+        return self.finished_at - self.started_at
+
+
+@dataclass
+class ClientProcess:
+    """One requesting process of a run.
+
+    It runs on compute node ``node``, stamps ``tenant`` on every
+    request, and issues ``requests`` (each with its open file) one at
+    a time, none before its arrival time.  A ``background`` process is
+    Figure 1's normal-I/O share of the queue: it is not awaited, reads
+    without retries, and a read lost to an injected fault is dropped.
+    """
+
+    node: int
+    requests: List[Tuple[PlannedRequest, FileHandle]]
+    tenant: Optional[str] = None
+    background: bool = False
 
 
 def cost_models_from_registry(registry: KernelRegistry) -> Dict[str, KernelCostModel]:
@@ -311,25 +370,16 @@ def _build_estimator(
     spec: WorkloadSpec,
     prober: NodeProber,
     config: ClusterConfig,
-    registry: KernelRegistry,
-    stale_probe_timeout: Optional[float] = None,
-    kernel_models: Optional[Dict[str, KernelCostModel]] = None,
+    kernel_models: Dict[str, KernelCostModel],
+    stale_probe_timeout: Optional[float],
 ) -> ContentionEstimator:
-    """Estimator for one server.
-
-    ``kernel_models`` lets the caller precompute the registry's cost
-    models once per run instead of once per server.
-    """
+    """Estimator for one server."""
     if scheme is Scheme.AS:
         return AlwaysOffloadEstimator()
     if scheme is Scheme.DOSAS:
         kwargs: Dict[str, Any] = dict(
             prober=prober,
-            kernel_models=(
-                kernel_models
-                if kernel_models is not None
-                else cost_models_from_registry(registry)
-            ),
+            kernel_models=kernel_models,
             bandwidth=config.network_bandwidth,
             scheduler=make_scheduler(spec.scheduler_name),
             probe_period=spec.probe_period if spec.allow_migration else None,
@@ -351,61 +401,89 @@ def _build_estimator(
     raise ValueError(f"scheme {scheme} needs no estimator")
 
 
-def run_scheme(
+@dataclass
+class System:
+    """One assembled machine, as :func:`build_system` returns it."""
+
+    env: Environment
+    scheme: Scheme
+    spec: WorkloadSpec
+    #: The spec's seed with the ``None`` sentinel resolved.
+    seed: int
+    config: ClusterConfig
+    topo: ClusterTopology
+    mds: MetadataServer
+    servers: List[IOServer]
+    #: One ASS per server (AS/DOSAS only).
+    asses: List[ActiveStorageServer]
+    qos: Optional[QoSConfig]
+    fault_schedule: Optional["FaultSchedule"]
+    retry_budget: Optional[RetryBudget]
+    dispatcher: Optional[StragglerDispatcher]
+    injector: Optional["FaultInjector"]
+    #: Every client's ASC, in creation order.
+    ascs: List[ActiveStorageClient] = field(default_factory=list)
+
+    def client(self, node: int, tenant: Optional[str]) -> ActiveStorageClient:
+        """A new ASC on compute node ``node``, armed with the run's protection."""
+        env, qos = self.env, self.qos
+        compute = self.topo.compute_node(node)
+        asc = ActiveStorageClient(
+            env,
+            compute,
+            PVFSClient(env, compute, self.servers, self.mds, tenant=tenant),
+            registry=default_registry,
+            execute_kernels=self.spec.execute_kernels,
+            breakers=(
+                BreakerBoard(
+                    threshold=qos.breaker_threshold, cooldown=qos.breaker_cooldown
+                )
+                if qos is not None else None
+            ),
+            retry_budget=self.retry_budget,
+            pace=(
+                TokenBucket(qos.pace_rate, qos.pace_burst, start=env.now)
+                if qos is not None and qos.pace_rate is not None
+                else None
+            ),
+            deadline=qos.deadline if qos is not None else None,
+            # Per-client seeded stream so full-jitter backoff is
+            # deterministic yet de-synchronized across clients.
+            rng=random.Random(self.seed * 1_000_003 + 9973 * node),
+            dispatcher=self.dispatcher,
+        )
+        self.ascs.append(asc)
+        return asc
+
+
+def build_system(
+    env: Environment,
     scheme: Scheme,
     spec: WorkloadSpec,
     fault_schedule: Optional["FaultSchedule"] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    max_virtual_time: Optional[float] = None,
-    tracer: Optional["Tracer"] = None,
     qos: Optional[QoSConfig] = None,
-    sim_scheduler: str = "calendar",
-) -> SchemeResult:
-    """Build the machine, run the workload, collect the numbers.
+    *,
+    n_compute: int,
+) -> System:
+    """Assemble the machine every run drives.
 
-    ``fault_schedule`` injects failures (see ``repro.faults``); the
-    schedule's suggested retry policy protects clients unless
-    ``retry_policy`` overrides it.  Fault runs (and any run with
-    ``max_virtual_time``) execute under a bounded-virtual-time
-    watchdog, so a recovery bug raises ``WatchdogTimeout`` instead of
-    hanging.
-
-    ``qos`` (a :class:`repro.qos.QoSConfig`) arms overload protection:
-    per-server admission control and intake policing, per-client
-    circuit breakers, submit pacing, a run-global retry budget, and
-    per-request deadlines.  Breakers, budget and deadlines act through
-    the retry machinery, so they need a retry policy to take effect.
-
-    ``tracer`` (a :class:`repro.obs.Tracer`) captures the full
-    request-lifecycle timeline of the run — see ``repro.obs`` and
-    ``docs/observability.md``.
-
-    ``sim_scheduler`` selects the engine's pending-event scheduler
-    (``"calendar"`` or ``"heap"``, see ``repro.sim.scheduler``).  Both
-    are result-identical per seed — the knob trades implementation for
-    wall-clock speed only, which is why it is a run argument and not
-    part of the (result-embedded) :class:`WorkloadSpec`.
+    Every machine field of ``spec`` is honoured: node counts and
+    cores, link sharing, latency and jitter, the estimator variant,
+    straggler dispatch.  ``qos`` arms per-server admission control and
+    the run-global retry budget (per-client breakers, pacing and
+    deadlines are armed in :meth:`System.client`); ``fault_schedule``
+    starts a fault injector and bounds probe staleness.  The machine
+    has ``n_compute`` compute nodes, one per client process.
     """
-    env = Environment(scheduler=sim_scheduler)
-    if tracer is not None:
-        env.tracer = tracer
-    retry = retry_policy or (
-        fault_schedule.retry if fault_schedule is not None else None
-    )
     seed = resolve_seed(spec.seed)
-    n_background = spec.background_readers * spec.n_storage
     config = discfarm_config(
-        n_storage=spec.n_storage,
-        n_compute=spec.total_requests + n_background,
-        jitter=spec.jitter,
+        n_storage=spec.n_storage, n_compute=n_compute, jitter=spec.jitter
     ).with_(
         storage_spec=NodeSpec(cores=spec.storage_cores),
         compute_spec=NodeSpec(cores=spec.compute_cores),
         network_latency=spec.network_latency,
         seed=seed,
     )
-    from repro.cluster.network import FairShareLink
-
     link_cls = SerialLink if spec.link_sharing == "serial" else FairShareLink
     topo = ClusterTopology(env, config, link_cls=link_cls)
     mds = MetadataServer(
@@ -438,18 +516,6 @@ def run_scheme(
         else None
     )
 
-    # Tenant identity per measured request: the per-node interleave
-    # (smooth weighted round-robin over each tenant's demand) repeats
-    # on every storage node, and request i lands on node i % n_storage,
-    # so position i // n_storage in the sequence names its tenant.
-    tenant_seq = interleave(spec.tenants) if spec.tenants else ()
-
-    def _tenant_of(i: int) -> Optional[str]:
-        return tenant_seq[i // spec.n_storage] if tenant_seq else None
-
-    registry = default_registry
-    kernel = registry.get(spec.kernel)
-
     # Straggler-aware dispatch: one latency board + dispatcher shared
     # by every client (each client alone sees too few requests to
     # learn anything); the shared rng stays deterministic because the
@@ -471,23 +537,24 @@ def run_scheme(
             execute_kernels=spec.execute_kernels,
             invocation_overhead=spec.kernel_overhead,
         )
+        # Precomputed once per run, not once per server.
         models = (
-            cost_models_from_registry(registry)
-            if scheme is Scheme.DOSAS else None
+            cost_models_from_registry(default_registry)
+            if scheme is Scheme.DOSAS else {}
+        )
+        stale = (
+            fault_schedule.stale_probe_timeout
+            if fault_schedule is not None else None
         )
         for server in servers:
             prober = NodeProber(server.node, server.queue_stats)
             estimator = _build_estimator(
-                scheme, spec, prober, config, registry,
-                stale_probe_timeout=(
-                    fault_schedule.stale_probe_timeout
-                    if fault_schedule is not None else None
-                ),
-                kernel_models=models,
+                scheme, spec, prober, config, models, stale
             )
             asses.append(
                 ActiveStorageServer(
-                    env, server, estimator, registry=registry, config=runtime_config
+                    env, server, estimator, registry=default_registry,
+                    config=runtime_config,
                 )
             )
 
@@ -497,118 +564,108 @@ def run_scheme(
 
         injector = FaultInjector(env, servers, fault_schedule).start()
 
-    # One file per request, wholly resident on its home server.
-    meta = (
-        {"width": spec.image_width}
-        if spec.kernel in ("gaussian2d", "sobel")
-        else None
+    return System(
+        env=env, scheme=scheme, spec=spec, seed=seed, config=config,
+        topo=topo, mds=mds, servers=servers, asses=asses, qos=qos,
+        fault_schedule=fault_schedule, retry_budget=retry_budget,
+        dispatcher=dispatcher, injector=injector,
     )
-    handles: List[FileHandle] = []
-    for i in range(spec.total_requests):
-        file = mds.create(
-            f"/data/req{i}",
-            size=spec.request_bytes,
-            n_servers=1,
-            first_server=i % spec.n_storage,
-            seed=seed + i,
-            meta=meta,
-            n_replicas=spec.n_replicas,
-        )
-        handles.append(mds.open(file.name))
 
-    # One requesting process per compute node (paper: "each process
-    # requests one I/O operation at a time").
-    client_rate = kernel.rate * config.compute_spec.core_speed
-    ascs: List[ActiveStorageClient] = []
 
-    def _make_asc(i: int) -> ActiveStorageClient:
-        node = topo.compute_node(i)
-        client = PVFSClient(env, node, servers, mds, tenant=_tenant_of(i))
-        asc = ActiveStorageClient(
-            env,
-            node,
-            client,
-            registry=registry,
-            execute_kernels=spec.execute_kernels,
-            breakers=(
-                BreakerBoard(
-                    threshold=qos.breaker_threshold, cooldown=qos.breaker_cooldown
+def _client_process(
+    system: System,
+    client: ClientProcess,
+    kernels: Dict[str, Kernel],
+    retry: Optional[RetryPolicy],
+    outcomes: List[RequestOutcome],
+) -> Generator[Event, Any, None]:
+    """One client's requests, in order; appends an outcome per request."""
+    env = system.env
+    asc = system.client(client.node, client.tenant)
+    if client.background:
+        for _request, fh in client.requests:
+            try:
+                yield from asc.read(fh)
+            except PVFSError:
+                pass  # background traffic lost to an injected fault is just gone
+        return
+    offload = system.scheme is not Scheme.TS
+    client_speed = system.config.compute_spec.core_speed
+    for request, fh in client.requests:
+        if env.now < request.arrival_time:
+            yield env.timeout(request.arrival_time - env.now)
+        started = env.now
+        result: Any = None
+        disposition = "normal"
+        if request.active and offload:
+            # Active requests always name an operation.
+            assert request.operation is not None
+            outcome = yield from asc.read_ex(fh, request.operation, retry=retry)
+            result = outcome.result
+            if outcome.demotions == 0:
+                disposition = "offloaded"
+            elif outcome.demotions == len(outcome.served_active):
+                disposition = "demoted"
+            else:
+                disposition = "mixed"
+        else:
+            yield from asc.read(fh, retry=retry)
+            if request.active:
+                # TS: the kernel runs client-side after the read.
+                assert request.operation is not None
+                kernel = kernels[request.operation]
+                yield from asc.node.cpu.compute(
+                    float(request.size), kernel.rate * client_speed
                 )
-                if qos is not None else None
-            ),
-            retry_budget=retry_budget,
-            pace=(
-                TokenBucket(qos.pace_rate, qos.pace_burst, start=env.now)
-                if qos is not None and qos.pace_rate is not None
-                else None
-            ),
-            deadline=qos.deadline if qos is not None else None,
-            # Per-client seeded stream so full-jitter backoff is
-            # deterministic yet de-synchronized across clients.
-            rng=random.Random(seed * 1_000_003 + 9973 * i),
-            dispatcher=dispatcher,
+                if system.spec.execute_kernels:
+                    data = system.mds.lookup(fh.name).read_bytes_as_array(
+                        0, request.size, dtype=kernel.dtype
+                    )
+                    result = kernel.apply(data, meta=fh.meta_dict or None)
+        outcomes.append(
+            RequestOutcome(request, started, env.now, result, disposition)
         )
-        ascs.append(asc)
-        return asc
 
-    def _ts_request(i: int) -> Generator[Event, Any, Tuple[float, Any]]:
-        asc = _make_asc(i)
-        arrival = spec.arrival_offset(i)
-        if arrival:
-            yield env.timeout(arrival)
-        yield from asc.read(handles[i], retry=retry)
-        yield from asc.node.cpu.compute(float(spec.request_bytes), client_rate)
-        result = None
-        if spec.execute_kernels:
-            file = mds.lookup(handles[i].name)
-            data = file.read_bytes_as_array(0, spec.request_bytes, dtype=kernel.dtype)
-            result = kernel.apply(data, meta=meta)
-        return (env.now, result)
 
-    def _active_request(i: int) -> Generator[Event, Any, Tuple[float, Any]]:
-        asc = _make_asc(i)
-        arrival = spec.arrival_offset(i)
-        if arrival:
-            yield env.timeout(arrival)
-        outcome = yield from asc.read_ex(
-            handles[i], spec.kernel, meta=meta, retry=retry
+def drive(
+    system: System,
+    clients: List[ClientProcess],
+    retry_policy: Optional[RetryPolicy] = None,
+    max_virtual_time: Optional[float] = None,
+) -> List[RequestOutcome]:
+    """Run ``clients`` on ``system``; their outcomes in completion order.
+
+    Each client becomes one simulation process, started in list order.
+    The fault schedule's suggested retry policy protects clients unless
+    ``retry_policy`` overrides it.  Fault runs (and any run with
+    ``max_virtual_time``) execute under a bounded-virtual-time
+    watchdog, so a recovery bug raises ``WatchdogTimeout`` instead of
+    hanging.
+    """
+    env, schedule = system.env, system.fault_schedule
+    retry = retry_policy or (schedule.retry if schedule is not None else None)
+    # Kernel lookups, hoisted out of the request loop; an unknown
+    # operation fails here, before anything runs.
+    kernels = {
+        op: default_registry.get(op)
+        for op in sorted({
+            request.operation
+            for client in clients
+            for request, _fh in client.requests
+            if request.operation is not None
+        })
+    }
+    outcomes: List[RequestOutcome] = []
+    procs: List[Event] = []
+    for client in clients:
+        proc = env.process(
+            _client_process(system, client, kernels, retry, outcomes)
         )
-        return (env.now, outcome)
-
-    # Background normal readers (Figure 1's normal-I/O share of the
-    # queue): their data competes for the same NICs but they are not
-    # part of the measured active workload.
-    background_handles: List[FileHandle] = []
-    for j in range(n_background):
-        f = mds.create(
-            f"/background/b{j}",
-            size=spec.background_bytes,
-            n_servers=1,
-            first_server=j % spec.n_storage,
-            seed=seed + 10_000 + j,
-        )
-        background_handles.append(mds.open(f.name))
-
-    def _background_reader(j: int) -> Generator[Event, Any, float]:
-        node = topo.compute_node(spec.total_requests + j)
-        client = PVFSClient(env, node, servers, mds)
-        try:
-            yield from client.read(background_handles[j])
-        except PVFSError:
-            pass  # background traffic lost to an injected fault is just gone
-        return env.now
-
-    # Background readers are created FIRST so their transfers sit at
-    # the head of every NIC queue regardless of scheme — otherwise the
-    # scheme whose data requests happen to enqueue earlier would dodge
-    # the interference and the comparison would be unfair.
-    for j in range(n_background):
-        env.process(_background_reader(j))
-    maker = _ts_request if scheme is Scheme.TS else _active_request
-    procs = [env.process(maker(i)) for i in range(spec.total_requests)]
+        if not client.background:
+            procs.append(proc)
     done = AllOf(env, procs)
     deadline = max_virtual_time or (
-        fault_schedule.horizon if fault_schedule is not None else None
+        schedule.horizon if schedule is not None else None
     )
     if deadline is not None:
         from repro.faults.injector import run_with_watchdog
@@ -616,63 +673,46 @@ def run_scheme(
         run_with_watchdog(env, done, deadline)
     else:
         env.run(until=done)
+    return outcomes
 
-    finish_times = [p.value[0] for p in procs]
-    outcomes = [p.value[1] for p in procs]
-    makespan = max(finish_times)
-    # Per-request latency: finish relative to the request's own
-    # staggered arrival — what a tail percentile should be taken over.
-    latencies = sorted(
-        t - spec.arrival_offset(i) for i, t in enumerate(finish_times)
+
+def summarise(system: System, outcomes: List[RequestOutcome]) -> Dict[str, Any]:
+    """The :class:`SchemeResult` fields of a driven run.
+
+    ``outcomes`` are the measured requests in record order; server,
+    ASS and ASC stats are aggregated once, over the whole machine.
+    """
+    scheme, spec, servers, ascs = (
+        system.scheme, system.spec, system.servers, system.ascs
     )
+    finish_times = [o.finished_at for o in outcomes]
+    makespan = max(finish_times)
+    total_bytes = sum(o.request.size for o in outcomes)
 
     served_active = demoted = interrupted = 0
     policy_values: List[float] = []
     if scheme is Scheme.TS:
-        demoted = spec.total_requests
-    else:
-        for ass in asses:
-            stats = ass.stats
-            served_active += stats["served_active"]
-            # An interrupted kernel is a demotion too — its remainder
-            # was finished by the client.
-            demoted += (
-                stats["demoted_new"]
-                + stats["demoted_queued"]
-                + stats["interrupted"]
-                + stats["shed_overload"]
-            )
-            interrupted += stats["interrupted"]
-            est = ass.estimator
-            if isinstance(est, DOSASEstimator):
-                policy_values.extend(p.objective_value for p in est.policy_log)
+        demoted = sum(1 for o in outcomes if o.request.active)
+    for ass in system.asses:
+        stats = ass.stats
+        served_active += stats["served_active"]
+        # An interrupted kernel is a demotion too — its remainder
+        # was finished by the client.
+        demoted += (
+            stats["demoted_new"]
+            + stats["demoted_queued"]
+            + stats["interrupted"]
+            + stats["shed_overload"]
+        )
+        interrupted += stats["interrupted"]
+        est = ass.estimator
+        if isinstance(est, DOSASEstimator):
+            policy_values.extend(p.objective_value for p in est.policy_log)
 
-    results: List[Any] = []
-    if spec.execute_kernels:
-        if scheme is Scheme.TS:
-            results = outcomes
-        else:
-            results = [o.result for o in outcomes]
-
-    retries = sum(a.stats["retries"] for a in ascs)
-    retry_timeouts = sum(a.stats["retry_timeouts"] for a in ascs)
     retry_events = sorted(
         (e for a in ascs for e in a.retry_log),
         key=lambda e: (e["time"], e["rid"], e["attempt"]),
     )
-    failed_requests = wasted_bytes = 0
-    for ass in asses:
-        failed_requests += ass.stats["failed"]
-        wasted_bytes += ass.stats["wasted_bytes"]
-
-    server_metrics: List[Dict[str, Any]] = [
-        {
-            "server": s.node.name,
-            "outstanding_final": len(s.outstanding),
-            **s.metrics.summary(),
-        }
-        for s in servers
-    ]
 
     def _server_sum(name: str) -> int:
         return int(sum(s.metrics.get_counter(name) for s in servers))
@@ -693,7 +733,8 @@ def run_scheme(
         "retries_denied_budget": _asc_sum("retries_denied_budget"),
         "deadline_failures": _asc_sum("deadline_failures"),
         "retry_budget_remaining": (
-            retry_budget.remaining if retry_budget is not None else None
+            system.retry_budget.remaining
+            if system.retry_budget is not None else None
         ),
         # Hedged-request ledger (mirrored onto the result's top level);
         # the scenario invariant engine asserts won + wasted == issued.
@@ -701,83 +742,206 @@ def run_scheme(
         "hedges_won": _asc_sum("hedges_won"),
         "hedges_wasted": _asc_sum("hedges_wasted"),
     }
+    dispatcher = system.dispatcher
     if dispatcher is not None:
         qos_stats["straggler"] = {
             **{k: dispatcher.stats[k] for k in sorted(dispatcher.stats)},
             "latency_board": dispatcher.board.snapshot(),
         }
-
     if spec.tenants:
-        # Per-tenant goodput / SLO attainment from the request-level
-        # latencies, plus the borrow/reclaim ledgers aggregated over
-        # every server.  Key order is sorted everywhere so the report
-        # serialises byte-identically per seed.
-        lat_by_tenant: Dict[str, List[float]] = {t.name: [] for t in spec.tenants}
-        for i, fin in enumerate(finish_times):
-            name = _tenant_of(i)
-            assert name is not None
-            lat_by_tenant[name].append(fin - spec.arrival_offset(i))
-        ledger_totals: Dict[str, Dict[str, float]] = {}
-        for s in servers:
-            ledger = s.admission.tenants if s.admission is not None else None
-            if ledger is None:
-                continue
-            for name, counters in ledger.snapshot().items():
-                agg = ledger_totals.setdefault(
-                    name, {k: 0.0 for k in counters}
-                )
-                for key, value in counters.items():
-                    agg[key] += value
-        per_tenant: Dict[str, Any] = {}
-        for t in sorted(spec.tenants, key=lambda t: t.name):
-            lats = sorted(lat_by_tenant[t.name])
-            n_req = len(lats)
-            t_bytes = n_req * spec.request_bytes
-            entry: Dict[str, Any] = {
-                "requests": n_req,
-                "bytes": t_bytes,
-                "goodput": t_bytes / makespan if makespan > 0 else float("inf"),
-                "slo_latency": t.slo_latency,
-                "slo_attainment": (
-                    sum(1 for x in lats if x <= t.slo_latency) / n_req
-                    if t.slo_latency is not None and n_req
-                    else None
-                ),
-                "latency_mean": sum(lats) / n_req if n_req else None,
-                "latency_max": lats[-1] if n_req else None,
-            }
-            counters = ledger_totals.get(t.name)
-            if counters is not None:
-                entry["ledger"] = {k: counters[k] for k in sorted(counters)}
-            per_tenant[t.name] = entry
-        qos_stats["tenants"] = {
-            "borrow_enabled": (
-                bool(qos.tenant_borrow) if qos is not None else None
-            ),
-            "per_tenant": per_tenant,
-        }
+        qos_stats["tenants"] = _tenant_stats(system, outcomes, makespan)
 
-    return SchemeResult(
+    return dict(
         scheme=scheme,
         spec=spec,
         makespan=makespan,
         per_request_times=sorted(finish_times),
-        bandwidth=spec.total_bytes / makespan if makespan > 0 else float("inf"),
+        bandwidth=total_bytes / makespan if makespan > 0 else float("inf"),
         served_active=served_active,
         demoted=demoted,
         interrupted=interrupted,
-        results=results,
+        results=[o.result for o in outcomes] if spec.execute_kernels else [],
         policy_values=policy_values,
-        retries=retries,
-        retry_timeouts=retry_timeouts,
-        failed_requests=failed_requests,
-        wasted_bytes=wasted_bytes,
-        fault_log=list(injector.log) if injector is not None else [],
+        retries=_asc_sum("retries"),
+        retry_timeouts=_asc_sum("retry_timeouts"),
+        failed_requests=sum(a.stats["failed"] for a in system.asses),
+        wasted_bytes=sum(a.stats["wasted_bytes"] for a in system.asses),
+        fault_log=list(system.injector.log) if system.injector is not None else [],
         retry_events=retry_events,
-        server_metrics=server_metrics,
+        server_metrics=[
+            {
+                "server": s.node.name,
+                "outstanding_final": len(s.outstanding),
+                **s.metrics.summary(),
+            }
+            for s in servers
+        ],
         qos_stats=qos_stats,
         hedges_issued=int(qos_stats["hedges_issued"]),
         hedges_won=int(qos_stats["hedges_won"]),
         hedges_wasted=int(qos_stats["hedges_wasted"]),
-        per_request_latencies=latencies,
+        per_request_latencies=sorted(o.latency for o in outcomes),
     )
+
+
+def _tenant_stats(
+    system: System, outcomes: List[RequestOutcome], makespan: float
+) -> Dict[str, Any]:
+    """Per-tenant goodput / SLO attainment plus the servers' ledgers.
+
+    A measured request's ``app`` names its tenant.  Key order is
+    sorted everywhere so the report serialises byte-identically per
+    seed.
+    """
+    spec, qos = system.spec, system.qos
+    lat_by_tenant: Dict[str, List[float]] = {t.name: [] for t in spec.tenants}
+    for o in outcomes:
+        lat_by_tenant[o.request.app].append(o.latency)
+    ledger_totals: Dict[str, Dict[str, float]] = {}
+    for s in system.servers:
+        ledger = s.admission.tenants if s.admission is not None else None
+        if ledger is None:
+            continue
+        for name, counters in ledger.snapshot().items():
+            agg = ledger_totals.setdefault(name, {k: 0.0 for k in counters})
+            for key, value in counters.items():
+                agg[key] += value
+    per_tenant: Dict[str, Any] = {}
+    for t in sorted(spec.tenants, key=lambda t: t.name):
+        lats = sorted(lat_by_tenant[t.name])
+        n_req = len(lats)
+        t_bytes = n_req * spec.request_bytes
+        entry: Dict[str, Any] = {
+            "requests": n_req,
+            "bytes": t_bytes,
+            "goodput": t_bytes / makespan if makespan > 0 else float("inf"),
+            "slo_latency": t.slo_latency,
+            "slo_attainment": (
+                sum(1 for x in lats if x <= t.slo_latency) / n_req
+                if t.slo_latency is not None and n_req
+                else None
+            ),
+            "latency_mean": sum(lats) / n_req if n_req else None,
+            "latency_max": lats[-1] if n_req else None,
+        }
+        counters = ledger_totals.get(t.name)
+        if counters is not None:
+            entry["ledger"] = {k: counters[k] for k in sorted(counters)}
+        per_tenant[t.name] = entry
+    return {
+        "borrow_enabled": bool(qos.tenant_borrow) if qos is not None else None,
+        "per_tenant": per_tenant,
+    }
+
+
+def run_scheme(
+    scheme: Scheme,
+    spec: WorkloadSpec,
+    fault_schedule: Optional["FaultSchedule"] = None,
+    retry_policy: Optional[RetryPolicy] = None,
+    max_virtual_time: Optional[float] = None,
+    tracer: Optional["Tracer"] = None,
+    qos: Optional[QoSConfig] = None,
+    sim_scheduler: str = "calendar",
+) -> SchemeResult:
+    """Build the machine, run the workload, collect the numbers.
+
+    The spec lowers onto the one driver: request ``i`` is one process
+    on compute node ``i`` reading its own file ``/data/req{i}``, homed
+    on server ``i % n_storage``, at its arrival offset; background
+    readers run on the nodes after those.
+
+    ``fault_schedule`` injects failures (see ``repro.faults``); the
+    schedule's suggested retry policy protects clients unless
+    ``retry_policy`` overrides it.  Fault runs (and any run with
+    ``max_virtual_time``) execute under a bounded-virtual-time
+    watchdog, so a recovery bug raises ``WatchdogTimeout`` instead of
+    hanging.
+
+    ``qos`` (a :class:`repro.qos.QoSConfig`) arms overload protection:
+    per-server admission control and intake policing, per-client
+    circuit breakers, submit pacing, a run-global retry budget, and
+    per-request deadlines.  Breakers, budget and deadlines act through
+    the retry machinery, so they need a retry policy to take effect.
+
+    ``tracer`` (a :class:`repro.obs.Tracer`) captures the full
+    request-lifecycle timeline of the run — see ``repro.obs`` and
+    ``docs/observability.md``.
+
+    ``sim_scheduler`` selects the engine's pending-event scheduler
+    (``"calendar"`` or ``"heap"``, see ``repro.sim.scheduler``).  Both
+    are result-identical per seed — the knob trades implementation for
+    wall-clock speed only, which is why it is a run argument and not
+    part of the (result-embedded) :class:`WorkloadSpec`.
+    """
+    env = Environment(scheduler=sim_scheduler)
+    if tracer is not None:
+        env.tracer = tracer
+    n_measured = spec.total_requests
+    n_background = spec.background_readers * spec.n_storage
+    system = build_system(
+        env, scheme, spec, fault_schedule, qos,
+        n_compute=n_measured + n_background,
+    )
+    seed, mds = system.seed, system.mds
+
+    # Tenant identity per measured request: the per-node interleave
+    # (smooth weighted round-robin over each tenant's demand) repeats
+    # on every storage node, and request i lands on node i % n_storage,
+    # so position i // n_storage in the sequence names its tenant.
+    tenant_seq = interleave(spec.tenants) if spec.tenants else ()
+
+    # One file per request, wholly resident on its home server.
+    meta = (
+        {"width": spec.image_width}
+        if spec.kernel in ("gaussian2d", "sobel")
+        else None
+    )
+    measured: List[ClientProcess] = []
+    for i in range(n_measured):
+        file = mds.create(
+            f"/data/req{i}",
+            size=spec.request_bytes,
+            n_servers=1,
+            first_server=i % spec.n_storage,
+            seed=seed + i,
+            meta=meta,
+            n_replicas=spec.n_replicas,
+        )
+        tenant = tenant_seq[i // spec.n_storage] if tenant_seq else None
+        # The request's app names its tenant (see _tenant_stats).
+        request = PlannedRequest(
+            tenant or "", i, 0, spec.arrival_offset(i), spec.request_bytes,
+            True, spec.kernel,
+        )
+        # One requesting process per compute node (paper: "each
+        # process requests one I/O operation at a time").
+        measured.append(ClientProcess(i, [(request, mds.open(file.name))], tenant))
+
+    # Background normal readers (Figure 1's normal-I/O share of the
+    # queue): their data competes for the same NICs but they are not
+    # part of the measured active workload.
+    background: List[ClientProcess] = []
+    for j in range(n_background):
+        f = mds.create(
+            f"/background/b{j}",
+            size=spec.background_bytes,
+            n_servers=1,
+            first_server=j % spec.n_storage,
+            seed=seed + 10_000 + j,
+        )
+        request = PlannedRequest(
+            "background", j, 0, 0.0, spec.background_bytes, False, None
+        )
+        background.append(ClientProcess(
+            n_measured + j, [(request, mds.open(f.name))], background=True
+        ))
+
+    # Background readers are created FIRST so their transfers sit at
+    # the head of every NIC queue regardless of scheme — otherwise the
+    # scheme whose data requests happen to enqueue earlier would dodge
+    # the interference and the comparison would be unfair.
+    outcomes = drive(system, background + measured, retry_policy, max_virtual_time)
+    # Record order is request order: request i is process i.
+    outcomes.sort(key=lambda o: o.request.process_index)
+    return SchemeResult(**summarise(system, outcomes))

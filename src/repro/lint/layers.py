@@ -32,7 +32,7 @@ __all__ = ["LAYERS", "layer_of", "UpwardImportRule", "ImportCycleRule"]
 LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     # The DES engine and its observability hooks are one foundation
     # layer: the engine carries a tracer field, the metrics registry
-    # wraps the engine's monitor.
+    # wraps the engine's time-weighted statistics.
     ("foundation", ("repro.sim", "repro.obs")),
     # The machine model: nodes/CPUs/NICs, kernels, shared memory.
     ("machine", ("repro.cluster", "repro.kernels", "repro.shm")),

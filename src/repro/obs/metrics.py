@@ -1,10 +1,8 @@
 """Typed metrics: counters, gauges, time-weighted gauges, histograms.
 
-Replaces the stringly-typed ``Monitor`` counter bag on hot components
-with named, typed instruments collected in a :class:`MetricsRegistry`.
-The registry is deliberately Monitor-compatible where tests and older
-callers expect it (``get_counter``) and exports a deterministic JSON
-snapshot for run artefacts.
+Hot components keep named, typed instruments in a
+:class:`MetricsRegistry`; ``get_counter`` reads a counter by name, and
+the registry exports a deterministic JSON snapshot for run artefacts.
 
 Histogram percentiles reuse :func:`repro.sim.monitor.percentile`, the
 dependency-free linear-interpolation implementation.
@@ -243,7 +241,7 @@ class MetricsRegistry:
         self.counter(name).inc(amount)
 
     def get_counter(self, name: str) -> float:
-        """Counter value, 0 if never incremented (Monitor-compatible)."""
+        """Counter value, 0 if never incremented."""
         c = self._counters.get(name)
         return c.value if c is not None else 0.0
 
@@ -267,7 +265,7 @@ class MetricsRegistry:
         }
 
     def summary(self) -> Dict[str, Any]:
-        """Flat Monitor-style view: counters plus derived stats."""
+        """Flat view: counters plus derived stats."""
         out: Dict[str, Any] = {
             n: self._counters[n].value for n in sorted(self._counters)
         }

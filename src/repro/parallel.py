@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
-from repro.core.planrun import PlanResult, run_plan
+from repro.core.planrun import run_plan
 from repro.core.schemes import Scheme, SchemeResult, WorkloadSpec, run_scheme
 from repro.workload.generator import RequestPlan
 
@@ -46,7 +46,6 @@ from repro.cache import ResultCache
 
 __all__ = ["SweepPoint", "SweepRunner", "run_point"]
 
-SweepResult = Union[SchemeResult, PlanResult]
 ProgressFn = Callable[[int, int, "SweepPoint", bool], None]
 LogFn = Callable[[str], None]
 
@@ -77,7 +76,7 @@ class SweepPoint:
         return f"{self.scheme.value}:{self.spec.kernel}/{self.spec.n_requests}x{mb}MB"
 
 
-def run_point(point: SweepPoint) -> SweepResult:
+def run_point(point: SweepPoint) -> SchemeResult:
     """Execute one point in this process.
 
     Module-level (not a method) so the process pool can pickle it.
@@ -131,7 +130,7 @@ class SweepRunner:
             self.progress(done, total, point, cached)
 
     # -- execution ----------------------------------------------------------
-    def run(self, points: Sequence[SweepPoint]) -> List[SweepResult]:
+    def run(self, points: Sequence[SweepPoint]) -> List[SchemeResult]:
         """Resolve every point; results align index-for-index.
 
         The merged output is independent of ``jobs``: each point is a
@@ -140,7 +139,7 @@ class SweepRunner:
         """
         points = list(points)
         total = len(points)
-        results: List[Optional[SweepResult]] = [None] * total
+        results: List[Optional[SchemeResult]] = [None] * total
 
         def tick(point: SweepPoint, cached: bool) -> None:
             self._tick(sum(1 for r in results if r is not None),
@@ -176,8 +175,8 @@ class SweepRunner:
         return results  # type: ignore[return-value]
 
     def _finish(
-        self, point: SweepPoint, key: Optional[str], result: SweepResult
-    ) -> SweepResult:
+        self, point: SweepPoint, key: Optional[str], result: SchemeResult
+    ) -> SchemeResult:
         if self.cache is not None and key is not None:
             self.cache.put(key, result)
         return result
@@ -186,7 +185,7 @@ class SweepRunner:
         self,
         points: Sequence[SweepPoint],
         pending: List[int],
-        results: List[Optional[SweepResult]],
+        results: List[Optional[SchemeResult]],
         keys: List[Optional[str]],
         tick: Callable[[SweepPoint, bool], None],
     ) -> bool:

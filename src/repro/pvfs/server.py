@@ -129,10 +129,8 @@ class IOServer:
         self._active_count = 0
         self._queued_bytes = 0
         self._active_bytes = 0
-        #: Typed per-server instruments; ``monitor`` stays as an alias
-        #: because older callers (and tests) use ``monitor.get_counter``.
+        #: Typed per-server instruments.
         self.metrics = MetricsRegistry(now=lambda: env.now)
-        self.monitor = self.metrics
         self._track = f"server:{node.name}"
         #: True while crashed: new requests are rejected.
         self.down = False

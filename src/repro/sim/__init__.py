@@ -27,8 +27,8 @@ Public surface
 ``Resource``, ``PriorityResource``, ``Container``, ``Store``
     Shared-resource primitives used to model CPU cores, NIC links and
     I/O queues.
-``Monitor``, ``TimeSeries``
-    Statistics helpers.
+``TimeWeightedStat``
+    Time-weighted average of a piecewise-constant signal.
 ``EventScheduler``, ``HeapScheduler``, ``CalendarScheduler``
     Pluggable pending-event schedulers (``Environment(scheduler=...)``)
     — the slotted timestamp queue is the default, the binary heap
@@ -64,7 +64,7 @@ from repro.sim.resources import (
     Resource,
 )
 from repro.sim.store import FilterStore, PriorityStore, Store, StoreGet, StorePut
-from repro.sim.monitor import Monitor, TimeSeries, TimeWeightedStat
+from repro.sim.monitor import TimeWeightedStat
 
 __all__ = [
     "AllOf",
@@ -80,7 +80,6 @@ __all__ = [
     "FlyweightPool",
     "HeapScheduler",
     "Interrupt",
-    "Monitor",
     "PENDING",
     "PriorityRequest",
     "PriorityResource",
@@ -95,7 +94,6 @@ __all__ = [
     "Store",
     "StoreGet",
     "StorePut",
-    "TimeSeries",
     "TimeWeightedStat",
     "Timeout",
     "Timer",

@@ -1,90 +1,25 @@
-"""Statistics collection for simulation runs.
+"""Statistics helpers for simulation runs.
 
 The Contention Estimator (paper Sec. III-D) "monitors current system
-status, including I/O queue, memory usage and CPU usage".  These
-helpers provide the raw series those probes read, plus generic
-utilisation accounting used by the analysis package to compute achieved
-bandwidth (Figures 11–12).
+status, including I/O queue, memory usage and CPU usage".
+:class:`TimeWeightedStat` accumulates the time-weighted signals those
+probes read: CPU-busy fractions on storage-node cores, and the
+time-weighted gauges (queue length) of
+:class:`repro.obs.MetricsRegistry`.  :func:`percentile` serves the
+latency reports.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from typing import Any, Dict, Iterable, List, Optional, Tuple
-
-
-class TimeSeries:
-    """An append-only series of ``(time, value)`` samples."""
-
-    __slots__ = ("times", "values", "name")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        """Append a sample.  Times must be non-decreasing."""
-        if self.times and time < self.times[-1]:
-            raise ValueError(
-                f"non-monotonic sample time {time} < {self.times[-1]} in {self.name!r}"
-            )
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def last(self) -> Optional[float]:
-        """Most recent value, or None if empty."""
-        return self.values[-1] if self.values else None
-
-    def mean(self) -> float:
-        """Unweighted mean of the sampled values."""
-        if not self.values:
-            raise ValueError(f"empty series {self.name!r}")
-        return sum(self.values) / len(self.values)
-
-    def time_weighted_mean(self, until: Optional[float] = None) -> float:
-        """Mean of the piecewise-constant signal over ``[times[0], until]``.
-
-        Each value holds from its sample time to the next sample (or to
-        ``until`` for the last sample).  ``until`` defaults to the last
-        sample time; an ``until`` inside the series integrates only the
-        prefix, and one *before the first sample* raises ``ValueError``
-        — there is no signal to average there.  A zero-width window
-        (``until == times[0]``) returns the instantaneous value.
-        """
-        if not self.values:
-            raise ValueError(f"empty series {self.name!r}")
-        end = self.times[-1] if until is None else until
-        if end < self.times[0]:
-            raise ValueError(
-                f"until={end} precedes the first sample at {self.times[0]}"
-                f" in {self.name!r}"
-            )
-        span = end - self.times[0]
-        if span <= 0:
-            # All mass at one instant: the signal's value at `end` is
-            # the last sample recorded at or before it.
-            idx = bisect.bisect_right(self.times, end) - 1
-            return self.values[idx]
-        total = 0.0
-        for i in range(len(self.times)):
-            t0 = self.times[i]
-            if t0 >= end:
-                break
-            t1 = self.times[i + 1] if i + 1 < len(self.times) else end
-            total += self.values[i] * (min(t1, end) - t0)
-        return total / span
+from typing import Iterable
 
 
 class TimeWeightedStat:
     """Online time-weighted average of a piecewise-constant signal.
 
-    Cheaper than :class:`TimeSeries` when only the mean is needed —
-    used for CPU-busy fractions on storage-node cores.
+    Keeps only the running area, not the samples — used for CPU-busy
+    fractions on storage-node cores and time-weighted gauges.
     """
 
     __slots__ = ("_last_time", "_last_value", "_area", "_start")
@@ -116,48 +51,6 @@ class TimeWeightedStat:
         if span <= 0:
             return self._last_value
         return (self._area + self._last_value * (now - self._last_time)) / span
-
-
-class Monitor:
-    """Named collection of counters and time series for one run."""
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, float] = {}
-        self.series: Dict[str, TimeSeries] = {}
-
-    def count(self, name: str, amount: float = 1.0) -> None:
-        """Increment counter ``name`` by ``amount``."""
-        self.counters[name] = self.counters.get(name, 0.0) + amount
-
-    def record(self, name: str, time: float, value: float) -> None:
-        """Append a sample to the series ``name`` (created on demand)."""
-        if name not in self.series:
-            self.series[name] = TimeSeries(name)
-        self.series[name].record(time, value)
-
-    def get_counter(self, name: str) -> float:
-        """Counter value (0 if never incremented)."""
-        return self.counters.get(name, 0.0)
-
-    def get_series(self, name: str) -> TimeSeries:
-        """The series ``name``; raises KeyError if absent."""
-        return self.series[name]
-
-    def summary(self) -> Dict[str, Any]:
-        """Flat dict of counters plus per-series mean/sample_mean/last.
-
-        Series are piecewise-constant signals, so ``<name>.mean`` is the
-        *time-weighted* mean; the unweighted mean of the raw samples is
-        kept under ``<name>.sample_mean`` (the two differ whenever the
-        signal dwells longer at some values than at others).
-        """
-        out: Dict[str, Any] = dict(self.counters)
-        for name, series in self.series.items():
-            if len(series):
-                out[f"{name}.mean"] = series.time_weighted_mean()
-                out[f"{name}.sample_mean"] = series.mean()
-                out[f"{name}.last"] = series.last()
-        return out
 
 
 def percentile(values: Iterable[float], q: float) -> float:

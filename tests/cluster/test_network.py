@@ -234,6 +234,22 @@ class TestFairShareLink:
         p = xfer(env, link, 0)
         assert env.run(until=p) == 0
 
+    def test_residue_too_small_to_advance_the_clock_completes(self):
+        # Found in an AS run on a fair link: 1.5e-9 bytes left at
+        # 123.7 MB/s drain in 1.2e-17 s, so now + eta == now.  The
+        # wake-up for that eta fires at the same instant and drains
+        # nothing; before the fix it was re-armed forever.
+        env = Environment(initial_time=0.20003310381355932)
+        link = FairShareLink(env, bandwidth=123731968.0)
+        done = link.transfer(1.5133991837501526e-09)
+        for _ in range(5):
+            if done.processed:
+                break
+            env.step()
+        assert done.processed
+        assert env.now == 0.20003310381355932
+        assert link.active_transfers == 0
+
     def test_latency_delays_flow_start(self, env):
         link = FairShareLink(env, bandwidth=100.0, latency=0.25)
         p = xfer(env, link, 100)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cluster.config import MB
-from repro.core import Scheme, SchemeResult, WorkloadSpec, run_scheme
+from repro.core import RetryPolicy, Scheme, SchemeResult, WorkloadSpec, run_scheme
 from repro.core.planrun import run_plan
+from repro.faults import scenario
 from repro.pvfs.filehandle import SyntheticData
 from repro.qos import TenantSpec
 from repro.workload import ArrivalPattern, BatchApplication, WorkloadGenerator
@@ -133,15 +134,81 @@ class TestPlanRunner:
         with pytest.raises(ValueError):
             run_plan(Scheme.AS, RequestPlan())
 
-    def test_plan_matches_scheme_runner(self):
-        """A homogeneous batch plan reproduces run_scheme's makespan."""
-        plan = self._plan(n=4, size=64 * MB, op="gaussian2d")
-        spec = WorkloadSpec()
-        pr = run_plan(Scheme.AS, plan, spec)
-        sr = run_scheme(Scheme.AS, WorkloadSpec(kernel="gaussian2d",
-                                                n_requests=4,
-                                                request_bytes=64 * MB))
-        assert pr.makespan == pytest.approx(sr.makespan, rel=1e-6)
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("machine", [
+        {},
+        {"link_sharing": "fair"},
+        {"jitter": True, "seed": 3},
+    ], ids=["serial", "fair", "jitter"])
+    def test_plan_matches_scheme_runner(self, scheme, machine):
+        """A one-app batch plan is run_scheme's batch, request for request."""
+        plan = self._plan(n=4, size=16 * MB, op="gaussian2d")
+        pr = run_plan(scheme, plan, WorkloadSpec(**machine))
+        sr = run_scheme(scheme, WorkloadSpec(kernel="gaussian2d", n_requests=4,
+                                             request_bytes=16 * MB, **machine))
+        assert pr.per_request_times == sr.per_request_times
+        assert (pr.served_active, pr.demoted, pr.interrupted) == \
+            (sr.served_active, sr.demoted, sr.interrupted)
+
+    def test_plan_clients_get_straggler_dispatch(self):
+        plan = self._plan(n=4, size=8 * MB)
+        spec = WorkloadSpec(n_storage=2, n_replicas=2, straggler_scheduler=True)
+        r = run_plan(Scheme.AS, plan, spec, fault_schedule=scenario(
+            "stragglers", seed=4, n_servers=2))
+        assert "straggler" in r.qos_stats
+        assert r.qos_stats["straggler"]["latency_board"]
+
+    def test_plan_fault_run_draws_full_jitter_backoff(self):
+        plan = self._plan(n=4, size=32 * MB)
+        spec = WorkloadSpec(n_storage=2, seed=9)
+
+        def retry_times(full_jitter):
+            r = run_plan(
+                Scheme.DOSAS, plan, spec,
+                fault_schedule=scenario("crash-restart", at=0.03, downtime=0.4),
+                retry_policy=RetryPolicy(timeout=0.2, full_jitter=full_jitter),
+            )
+            assert r.retries > 0
+            return [e["time"] for e in r.retry_events], r.per_request_times
+
+        # Jitter draws each backoff below its nominal delay, so the
+        # re-issues and the finish times move.
+        assert retry_times(True) != retry_times(False)
+
+    def test_tenant_mix_rejected(self):
+        spec = WorkloadSpec(tenants=(TenantSpec(name="a", requests=1),))
+        with pytest.raises(ValueError, match="tenant"):
+            run_plan(Scheme.AS, self._plan(), spec)
+
+    def test_ts_counts_client_side_kernels_as_demoted(self):
+        apps = [BatchApplication("filter", 2, 8 * MB, operation="sum"),
+                BatchApplication("reader", 1, 8 * MB)]
+        plan = WorkloadGenerator(0).plan(apps)
+        r = run_plan(Scheme.TS, plan)
+        assert (r.served_active, r.demoted) == (0, 2)
+
+    def test_ts_plan_returns_client_side_kernel_results(self):
+        plan = self._plan(n=2, size=1 * MB)
+        spec = WorkloadSpec(execute_kernels=True)
+
+        def by_process(r):
+            return sorted((o.request.process_index, float(o.result))
+                          for o in r.outcomes)
+
+        ts = run_plan(Scheme.TS, plan, spec)
+        assert by_process(ts) == by_process(run_plan(Scheme.AS, plan, spec))
+        assert len(ts.results) == 2
+
+    def test_mean_latency_and_goodput_follow_the_record(self):
+        plan = WorkloadGenerator(1).plan(
+            [BatchApplication("a", 3, 8 * MB, operation="sum")],
+            ArrivalPattern.UNIFORM, window=2.0,
+        )
+        r = run_plan(Scheme.DOSAS, plan)
+        assert r.mean_latency == pytest.approx(
+            sum(o.latency for o in r.outcomes) / len(r.outcomes))
+        assert r.goodput == r.bandwidth == pytest.approx(
+            plan.total_bytes / r.makespan)
 
     def test_outcome_accounting(self):
         plan = self._plan(n=3)

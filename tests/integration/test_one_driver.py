@@ -1,0 +1,173 @@
+"""Regression net for the one run driver.
+
+``run_scheme`` and ``run_plan`` both lower onto ``build_system`` →
+client processes → ``drive`` → ``summarise``.  These constants were
+measured before the two drivers merged, so they pin that the lowering
+changed no simulated output:
+
+- for ``run_scheme``, the SHA-256 of the whole record (``asdict``
+  minus the numpy ``results``) on specs the frozen benchmark does not
+  reach — background readers with jitter, the smoothed and hysteresis
+  estimators, explicit arrival times, kernel overhead with network
+  latency, a chaos fault schedule, straggler dispatch over replicas,
+  and a policed tenant mix;
+- for ``run_plan``, every ``(app, process_index, sequence, started_at,
+  finished_at, disposition)`` outcome of ``bench_ablation_multiapp``'s
+  plan, in completion order, under all three schemes.
+"""
+
+import hashlib
+import json
+from dataclasses import asdict
+
+import pytest
+
+from repro.cluster.config import MB
+from repro.core import RetryPolicy, Scheme, WorkloadSpec, run_plan, run_scheme
+from repro.faults import scenario
+from repro.pvfs.client import reset_parent_ids
+from repro.pvfs.requests import reset_request_ids
+from repro.qos import QoSConfig, TenantSpec
+from repro.workload import (
+    ArrivalPattern,
+    BatchApplication,
+    StreamingApplication,
+    WorkloadGenerator,
+)
+
+BASE = dict(n_requests=6, request_bytes=64 * MB, n_storage=2, seed=5)
+
+#: name -> (spec fields, run_scheme keyword factories).
+CASES = {
+    "background": (
+        dict(BASE, background_readers=1, background_bytes=16 * MB, jitter=True),
+        {},
+    ),
+    "smoothed": (dict(BASE, estimator_variant="smoothed"), {}),
+    "hysteresis": (dict(BASE, estimator_variant="hysteresis"), {}),
+    "arrival_times": (
+        dict(BASE, arrival_times=tuple(0.25 * ((7 * i) % 12) for i in range(12))),
+        {},
+    ),
+    "overheads": (dict(BASE, kernel_overhead=0.05, network_latency=0.001), {}),
+    "chaos": (
+        dict(BASE, n_requests=3),
+        dict(fault_schedule=lambda: scenario(
+            "chaos", seed=5, n_events=6, span=1.5, n_targets=2)),
+    ),
+    "stragglers": (
+        dict(BASE, n_storage=3, straggler_scheduler=True, n_replicas=2),
+        dict(fault_schedule=lambda: scenario("stragglers", seed=4, n_servers=3)),
+    ),
+    "tenants": (
+        dict(BASE, request_bytes=16 * MB, tenants=(
+            TenantSpec(name="gold", rate=20 * MB, requests=1, slo_latency=2.0),
+            TenantSpec(name="noisy", rate=10 * MB, requests=3),
+        )),
+        dict(qos=lambda: QoSConfig(max_queue_depth=2),
+             retry_policy=lambda: RetryPolicy(timeout=20.0, max_retries=8)),
+    ),
+}
+
+#: case -> scheme -> SHA-256 of the record.
+SCHEME_DIGESTS = {
+    "background": {
+        "ts": "2af57143a2a44a36b25178eb733b22030a82eee38fb62151a7822d253ca42bf8",
+        "as": "f6c1cd1b53e1097aa6a2e446e5379ace4c6b1aef7faac028f891b53250ef89c8",
+        "dosas": "7df0c2661ed7a8d22ab1a3900001b8c430c87c42552f6f05c87b8715d4371441",
+    },
+    "smoothed": {
+        "ts": "ad9bb112e82dce51f1c45b5098547d917af002f88600c1a34254af086ebbb0e7",
+        "as": "304b7d9145dd64b10adfc3fbe258ecb9ef7d086dbbc11b39f66f5a51d97d2823",
+        "dosas": "0124d998ca3400dad6dce82d5b0446ddf8fa1369d280ff16b69decc3debedeef",
+    },
+    "hysteresis": {
+        "ts": "9871a444818fe720255efb7d8a2bec14e4bdc018789dd315400b4c1d88f8bcde",
+        "as": "b497deada421fa306edd2d85c727dae4fa9a0b446087adae86fe04a3e20280bb",
+        "dosas": "093c769a3b78df7d702a04f7753c100b1532181c0d3a4ebe76560ed4f7a20e12",
+    },
+    "arrival_times": {
+        "ts": "d5c6e6efc37d7b4246c692f5cc9da574e7adb84b02fcaed31839caec77460207",
+        "as": "0a87f2df208c94371a1f273ce30df98c90ba1d64997351ab16f39485c7d4bef7",
+        "dosas": "5c30b97c303c33c859bc700b33da58a8af20dc17d4e8e2c58b975ac279bc9a2d",
+    },
+    "overheads": {
+        "ts": "b8f82c5d49f1dcd3da9e2f02f2ffea08230d11e0c205a1c35c7247349ca4459c",
+        "as": "01fedf937777a82a809ad7acc89d270aa8f30683a60408fd321370f143e6fcd6",
+        "dosas": "bce9b2d4f49e94ea942b4d6558616d367553628c500aad667d9cb0f5fbdd3f89",
+    },
+    "chaos": {
+        "ts": "3a8e356b60711fc1d6c2cfefe57ca44d80e4384033f1873a9d152f6f3d49d906",
+        "as": "b1b509b6029fae071346822578f05c623944b19d8b26fa368f025ade5a7bb976",
+        "dosas": "274d211b304c61af22c4eda0907e072b109389f56b2f1d681b4f41028438f791",
+    },
+    "stragglers": {
+        "ts": "385e8c1322eac39b43332f328a2ae2b131928926f8eed644f378868592d315ad",
+        "as": "534ca5417c69fb17258398c086492b3d080c7df0be608a3f63c3d1d55d028f31",
+        "dosas": "a9c76ea8ef9d94a9cfa206493bfa4c038ca975a23dc5f89621199c40a076ae9b",
+    },
+    "tenants": {
+        "ts": "a7042b07f2e08f5b29f0d9f67e11ed4701d47f331d2af99620db0088770719d8",
+        "as": "fd9f5974ce577a8af57a8d1fe1a08df151ae00ff264d6869b93df6997ae38b84",
+        "dosas": "dd761f17533860a41dcfed90424ddce87eae57c833a94fd1a287cb89e5c4eea7",
+    },
+}
+
+#: scheme -> (outcome digest, makespan, served_active, demoted, interrupted).
+#: TS ``demoted`` counts the 16 active requests finished client-side
+#: (it read 0 before the merge); every other value is as measured then.
+PLAN_PINS = {
+    Scheme.TS: ("5e8e35dff9acb481fbd62be12133e641d1fb16a0439923b9aebc0c0d217ffd89",
+                50.544311600040544, 0, 16, 0),
+    Scheme.AS: ("5d5a41c05dd971635c2de6fbe8c69e9d2eff2ddc951278b4f31c952e5d852833",
+                26.477381213476328, 16, 0, 0),
+    Scheme.DOSAS: ("22c4b54cc33263885c798ec1ac20b84cc3bbe9ef2e69d335ec3c727b320bfbed",
+                   26.477381213476328, 12, 4, 1),
+}
+
+
+def _fresh_ids():
+    # Process-global id counters restart so rids in the retry logs
+    # match the run that measured the constants.
+    reset_request_ids()
+    reset_parent_ids()
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+@pytest.mark.parametrize("case", list(CASES))
+def test_run_scheme_record_unchanged(case, scheme):
+    fields, kwargs = CASES[case]
+    _fresh_ids()
+    result = run_scheme(scheme, WorkloadSpec(**fields),
+                        **{k: make() for k, make in kwargs.items()})
+    record = asdict(result)
+    record.pop("results")
+    text = json.dumps(record, sort_keys=True, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        SCHEME_DIGESTS[case][scheme.value]
+
+
+def _multiapp_plan():
+    """``bench_ablation_multiapp``'s Figure-1 mix."""
+    apps = [
+        BatchApplication("imaging", 8, 256 * MB, operation="gaussian2d"),
+        StreamingApplication("climate", 4, 512 * MB, rounds=2,
+                             think_time=5.0, operation="sum"),
+        BatchApplication("backup", 4, 1024 * MB),
+    ]
+    return WorkloadGenerator(seed=42).plan(apps, ArrivalPattern.POISSON, rate=0.5)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_run_plan_outcomes_unchanged(scheme):
+    _fresh_ids()
+    spec = WorkloadSpec(n_storage=2, probe_period=0.25)
+    r = run_plan(scheme, _multiapp_plan(), spec)
+    rows = [
+        (o.request.app, o.request.process_index, o.request.sequence,
+         o.started_at, o.finished_at, o.disposition)
+        for o in r.outcomes
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert (digest, r.makespan, r.served_active, r.demoted, r.interrupted) == \
+        PLAN_PINS[scheme]

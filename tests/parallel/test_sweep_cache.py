@@ -23,11 +23,10 @@ from repro.cache import (
 )
 from repro.cluster.config import MB
 from repro.core import DEFAULT_SEED, resolve_seed
-from repro.core.planrun import PlanResult, run_plan
+from repro.core.planrun import run_plan
 from repro.core.schemes import Scheme, WorkloadSpec, run_scheme
 from repro.parallel import SweepPoint, SweepRunner, run_point
 from repro.pvfs.filehandle import SyntheticData
-from repro.sim.exceptions import SimulationError
 from repro.workload.generator import PlannedRequest, RequestPlan
 
 
@@ -71,15 +70,31 @@ class TestSeedSentinel:
 
 # -------------------------------------------------------- PlanResult guards
 class TestEmptyPlanResult:
+    """No run returns a record without requests, so ``makespan`` and
+    ``mean_latency`` are always defined: an empty plan is refused up
+    front (``TestPlanRunner::test_empty_plan_rejected``), and a plan
+    run that cannot finish raises instead of returning."""
+
     def test_makespan_raises_clearly(self):
-        empty = PlanResult(scheme=Scheme.AS)
-        with pytest.raises(SimulationError, match="makespan is undefined"):
-            empty.makespan
+        from repro.faults import WatchdogTimeout
+
+        plan = RequestPlan(requests=[_request(0), _request(1)])
+        with pytest.raises(WatchdogTimeout):
+            run_plan(Scheme.AS, plan, max_virtual_time=0.001)
 
     def test_mean_latency_raises_clearly(self):
-        empty = PlanResult(scheme=Scheme.AS)
-        with pytest.raises(SimulationError, match="mean_latency is undefined"):
-            empty.mean_latency
+        from repro.core.asc import RetryExhausted, RetryPolicy
+        from repro.faults import FaultEvent, FaultKind, FaultSchedule
+
+        perma_crash = FaultSchedule(
+            name="perma-crash",
+            events=(FaultEvent(at=0.0, kind=FaultKind.CRASH),),
+            retry=RetryPolicy(timeout=0.2, max_retries=1, backoff_base=0.05),
+            horizon=30.0,
+        )
+        plan = RequestPlan(requests=[_request(0), _request(1)])
+        with pytest.raises(RetryExhausted):
+            run_plan(Scheme.AS, plan, fault_schedule=perma_crash)
 
 
 # ------------------------------------------------------- index-keyed handles

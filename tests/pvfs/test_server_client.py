@@ -78,8 +78,8 @@ class TestNormalRead:
         assert len(replies) == 2
         # Both NICs work in parallel: 4 MB each at 118 MB/s.
         assert t == pytest.approx(4 / 118)
-        assert servers[0].monitor.get_counter("bytes_streamed") == 4 * MB
-        assert servers[1].monitor.get_counter("bytes_streamed") == 4 * MB
+        assert servers[0].metrics.get_counter("bytes_streamed") == 4 * MB
+        assert servers[1].metrics.get_counter("bytes_streamed") == 4 * MB
 
     def test_partial_extent_read(self):
         env, topo, mds, servers = build()
@@ -208,7 +208,7 @@ class TestServerBookkeeping:
             yield from client.read(client.open("/a"))
 
         env.run(until=env.process(app()))
-        m = servers[0].monitor
+        m = servers[0].metrics
         assert m.get_counter("requests_received") == 1
         assert m.get_counter("requests_completed") == 1
         assert m.get_counter("bytes_streamed") == 5 * MB
@@ -253,8 +253,8 @@ class TestServiceLifecycle:
     def assert_settled(server):
         assert server._service == {}
         assert server._deadline_timers == {}
-        assert server.monitor.get_counter("late_replies") == 0
-        assert server.monitor.get_counter("requests_completed") == 0
+        assert server.metrics.get_counter("late_replies") == 0
+        assert server.metrics.get_counter("requests_completed") == 0
 
     def test_crash_mid_transfer(self):
         env, _mds, server, _request, outcomes = self.start()
@@ -262,7 +262,7 @@ class TestServiceLifecycle:
         env.run()
         assert len(outcomes) == 1
         assert isinstance(outcomes[0].value, ServerCrashed)
-        assert server.monitor.get_counter("requests_failed_crash") == 1
+        assert server.metrics.get_counter("requests_failed_crash") == 1
         self.assert_settled(server)
         assert server.link.bytes_transferred == self.SIZE  # in flight: drains
 
@@ -274,7 +274,7 @@ class TestServiceLifecycle:
         env.run()
         assert cancelled == [True]
         assert outcomes == [] and not request.reply.triggered
-        assert server.monitor.get_counter("requests_cancelled") == 1
+        assert server.metrics.get_counter("requests_cancelled") == 1
         self.assert_settled(server)
         assert server.link.bytes_transferred == self.SIZE
 
@@ -285,7 +285,7 @@ class TestServiceLifecycle:
         env.run()
         assert len(outcomes) == 1
         assert isinstance(outcomes[0].value, DeadlineExceeded)
-        assert server.monitor.get_counter("deadline_expired") == 1
+        assert server.metrics.get_counter("deadline_expired") == 1
         self.assert_settled(server)
         assert server.link.bytes_transferred == self.SIZE
 

@@ -1,69 +1,9 @@
-"""Statistics helpers: TimeSeries, TimeWeightedStat, Monitor, percentile."""
+"""Statistics helpers: TimeWeightedStat, percentile."""
 
 import pytest
 
-from repro.sim import Monitor, TimeSeries, TimeWeightedStat
+from repro.sim import TimeWeightedStat
 from repro.sim.monitor import percentile
-
-
-class TestTimeSeries:
-    def test_record_and_query(self):
-        ts = TimeSeries("q")
-        ts.record(0, 5)
-        ts.record(1, 7)
-        assert len(ts) == 2
-        assert ts.last() == 7
-        assert ts.mean() == 6
-
-    def test_non_monotonic_time_rejected(self):
-        ts = TimeSeries()
-        ts.record(5, 1)
-        with pytest.raises(ValueError):
-            ts.record(4, 1)
-
-    def test_empty_series_stats_raise(self):
-        ts = TimeSeries()
-        assert ts.last() is None
-        with pytest.raises(ValueError):
-            ts.mean()
-        with pytest.raises(ValueError):
-            ts.time_weighted_mean()
-
-    def test_time_weighted_mean_piecewise(self):
-        ts = TimeSeries()
-        ts.record(0, 0)   # 0 for [0, 2)
-        ts.record(2, 10)  # 10 for [2, 4)
-        assert ts.time_weighted_mean(until=4) == 5
-
-    def test_time_weighted_mean_until_before_first_raises(self):
-        ts = TimeSeries()
-        ts.record(2, 1)
-        ts.record(5, 2)
-        with pytest.raises(ValueError):
-            ts.time_weighted_mean(until=1)
-
-    def test_time_weighted_mean_prefix_window(self):
-        ts = TimeSeries()
-        ts.record(0, 1)   # 1 for [0, 5)
-        ts.record(5, 9)   # 9 afterwards
-        # A mid-series `until` integrates only the prefix.
-        assert ts.time_weighted_mean(until=3) == 1
-        assert ts.time_weighted_mean(until=10) == pytest.approx(5.0)
-
-    def test_time_weighted_mean_zero_width_window(self):
-        ts = TimeSeries()
-        ts.record(4, 3)
-        ts.record(4, 8)  # same instant: instantaneous value wins
-        assert ts.time_weighted_mean(until=4) == 8
-
-    def test_time_weighted_differs_from_sample_mean(self):
-        # Known piecewise-constant signal where the two means differ:
-        # value 0 holds for 9s, value 10 for 1s.
-        ts = TimeSeries()
-        ts.record(0, 0)
-        ts.record(9, 10)
-        assert ts.mean() == 5.0
-        assert ts.time_weighted_mean(until=10) == pytest.approx(1.0)
 
 
 class TestTimeWeightedStat:
@@ -88,44 +28,6 @@ class TestTimeWeightedStat:
             s.update(4, 1)
         with pytest.raises(ValueError):
             s.mean(3)
-
-
-class TestMonitor:
-    def test_counters(self):
-        m = Monitor()
-        m.count("x")
-        m.count("x", 2)
-        assert m.get_counter("x") == 3
-        assert m.get_counter("missing") == 0
-
-    def test_series_created_on_demand(self):
-        m = Monitor()
-        m.record("lat", 0, 1.0)
-        m.record("lat", 1, 3.0)
-        assert m.get_series("lat").mean() == 2.0
-
-    def test_summary_merges(self):
-        m = Monitor()
-        m.count("n", 5)
-        m.record("q", 0, 2.0)
-        s = m.summary()
-        assert s["n"] == 5
-        assert s["q.mean"] == 2.0
-        assert s["q.sample_mean"] == 2.0
-        assert s["q.last"] == 2.0
-
-    def test_summary_mean_is_time_weighted(self):
-        # Queue depth 4 for 8s, then 0 for 2s: dwell-time-weighted mean
-        # is 3.2 while the naive sample mean is 4/3.  summary() must
-        # report the weighted one as `.mean`.
-        m = Monitor()
-        m.record("q", 0, 4.0)
-        m.record("q", 8, 0.0)
-        m.record("q", 10, 0.0)
-        s = m.summary()
-        assert s["q.mean"] == pytest.approx(3.2)
-        assert s["q.sample_mean"] == pytest.approx(4 / 3)
-        assert s["q.mean"] != s["q.sample_mean"]
 
 
 class TestPercentile:
