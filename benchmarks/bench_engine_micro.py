@@ -5,35 +5,27 @@ throughput, resource churn, fair-share link bookkeeping, and one full
 scheme run — useful for catching performance regressions in the
 engine.
 
-Engine-facing benches run under both event schedulers (see
-:mod:`repro.sim.scheduler`) and record the variant plus the
-scheduler's queue statistics (max depth, compactions, slot pairs) in the
-result JSON via ``benchmark.extra_info``, so a saved run states which
-data structure produced which numbers.
+Engine-facing benches record the event queue's statistics (max depth,
+compactions; see :mod:`repro.sim.scheduler`) in the result JSON via
+``benchmark.extra_info``.
 """
 
-import pytest
-
 from repro.sim import Environment, Resource, Store
-from repro.sim.scheduler import SCHEDULERS
 from repro.cluster.config import MB
 from repro.core import Scheme, WorkloadSpec, run_scheme
 
 
 def _record_queue_stats(benchmark, env):
-    """Stamp the scheduler variant and queue stats into the JSON."""
-    stats = env.scheduler_stats()
-    benchmark.extra_info["scheduler"] = stats.pop("scheduler")
-    benchmark.extra_info["queue_stats"] = stats
+    """Stamp the event queue's stats into the JSON."""
+    benchmark.extra_info["queue_stats"] = env.scheduler_stats()
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def bench_event_throughput(benchmark, scheduler):
+def bench_event_throughput(benchmark):
     """Schedule + process 10k chained timeouts."""
     last_env = {}
 
     def run():
-        env = Environment(scheduler=scheduler)
+        env = Environment()
 
         def chain(env, n):
             for _ in range(n):
@@ -48,13 +40,12 @@ def bench_event_throughput(benchmark, scheduler):
     _record_queue_stats(benchmark, last_env["env"])
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def bench_resource_churn(benchmark, scheduler):
+def bench_resource_churn(benchmark):
     """1000 processes contending for a 4-slot resource."""
     last_env = {}
 
     def run():
-        env = Environment(scheduler=scheduler)
+        env = Environment()
         res = Resource(env, capacity=4)
 
         def worker(env, res):
@@ -72,13 +63,12 @@ def bench_resource_churn(benchmark, scheduler):
     _record_queue_stats(benchmark, last_env["env"])
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def bench_store_pipeline(benchmark, scheduler):
+def bench_store_pipeline(benchmark):
     """Producer/consumer through a bounded store."""
     last_env = {}
 
     def run():
-        env = Environment(scheduler=scheduler)
+        env = Environment()
         st = Store(env, capacity=16)
 
         def producer(env, st):
@@ -98,10 +88,8 @@ def bench_store_pipeline(benchmark, scheduler):
     _record_queue_stats(benchmark, last_env["env"])
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def bench_full_scheme_run(benchmark, scheduler):
+def bench_full_scheme_run(benchmark):
     """Wall cost of one paper experiment point (DOSAS, 16 x 256 MB)."""
     spec = WorkloadSpec(kernel="gaussian2d", n_requests=16,
                         request_bytes=256 * MB)
-    benchmark(run_scheme, Scheme.DOSAS, spec, sim_scheduler=scheduler)
-    benchmark.extra_info["scheduler"] = scheduler
+    benchmark(run_scheme, Scheme.DOSAS, spec)

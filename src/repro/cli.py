@@ -262,8 +262,7 @@ def cmd_run(args, out=None) -> int:
     for scheme in schemes:
         tracer = _fresh_tracer() if trace_path else None
         r = run_scheme(scheme, spec, tracer=tracer, qos=qos,
-                       retry_policy=retry,
-                       sim_scheduler=getattr(args, "sim_scheduler", "calendar"))
+                       retry_policy=retry)
         if tracer is not None:
             tracers[scheme.value] = tracer
         rows.append([scheme.value, r.makespan, r.bandwidth / MB,
@@ -315,12 +314,10 @@ def _run_with_faults(args, spec: WorkloadSpec, out) -> int:
     trace_path = getattr(args, "trace", None)
     tracers = {}
     rows = []
-    sim_scheduler = getattr(args, "sim_scheduler", "calendar")
     for scheme in schemes:
-        healthy = run_scheme(scheme, spec, sim_scheduler=sim_scheduler)
+        healthy = run_scheme(scheme, spec)
         tracer = _fresh_tracer() if trace_path else None
-        faulty = run_scheme(scheme, spec, fault_schedule=sched,
-                            tracer=tracer, sim_scheduler=sim_scheduler)
+        faulty = run_scheme(scheme, spec, fault_schedule=sched, tracer=tracer)
         if tracer is not None:
             tracers[scheme.value] = tracer
         m = summarize_fault_run(faulty, baseline=healthy)
@@ -791,11 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-borrow", action="store_true",
                    help="with --tenants: static partition (disable the "
                         "decentralized token borrowing)")
-    p.add_argument("--sim-scheduler", choices=["calendar", "heap"],
-                   default="calendar",
-                   help="engine event scheduler (result-identical per "
-                        "seed; calendar, which batches events per "
-                        "timestamp, is the default, heap the reference)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="sweep request counts")

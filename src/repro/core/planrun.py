@@ -61,7 +61,6 @@ def run_plan(
     retry_policy: Optional[RetryPolicy] = None,
     max_virtual_time: Optional[float] = None,
     tracer: Optional["Tracer"] = None,
-    sim_scheduler: str = "calendar",
 ) -> PlanResult:
     """Run ``plan`` under ``scheme``.
 
@@ -79,9 +78,7 @@ def run_plan(
     as in :func:`~repro.core.schemes.run_scheme`: faults are injected
     per the schedule, clients retry per the policy, and the run is
     bounded in virtual time by a watchdog.  ``tracer`` records the
-    request-lifecycle timeline (see ``repro.obs``).  ``sim_scheduler``
-    picks the engine's event scheduler (``"calendar"``/``"heap"``,
-    result-identical per seed — see ``repro.sim.scheduler``).
+    request-lifecycle timeline (see ``repro.obs``).
     """
     if not len(plan):
         raise ValueError("empty plan")
@@ -100,7 +97,7 @@ def run_plan(
     for entries in by_process.values():
         entries.sort(key=lambda e: (e[1].arrival_time, e[1].sequence))
 
-    env = Environment(scheduler=sim_scheduler)
+    env = Environment()
     if tracer is not None:
         env.tracer = tracer
     system = build_system(

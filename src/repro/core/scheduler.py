@@ -277,7 +277,7 @@ class GreedyScheduler(Scheduler):
         )
 
 
-_SCHEDULERS: Dict[str, Callable[..., Scheduler]] = {
+_REGISTRY: Dict[str, Callable[..., Scheduler]] = {
     "exhaustive": ExhaustiveScheduler,
     "threshold": ThresholdScheduler,
     "branch_and_bound": BranchAndBoundScheduler,
@@ -288,9 +288,9 @@ _SCHEDULERS: Dict[str, Callable[..., Scheduler]] = {
 def make_scheduler(name: str, **kwargs: Any) -> Scheduler:
     """Scheduler factory by name."""
     try:
-        cls = _SCHEDULERS[name]
+        cls = _REGISTRY[name]
     except KeyError:
         raise ValueError(
-            f"unknown scheduler {name!r}; choose from {sorted(_SCHEDULERS)}"
+            f"unknown scheduler {name!r}; choose from {sorted(_REGISTRY)}"
         ) from None
     return cls(**kwargs)

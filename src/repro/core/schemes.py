@@ -842,7 +842,6 @@ def run_scheme(
     max_virtual_time: Optional[float] = None,
     tracer: Optional["Tracer"] = None,
     qos: Optional[QoSConfig] = None,
-    sim_scheduler: str = "calendar",
 ) -> SchemeResult:
     """Build the machine, run the workload, collect the numbers.
 
@@ -867,14 +866,8 @@ def run_scheme(
     ``tracer`` (a :class:`repro.obs.Tracer`) captures the full
     request-lifecycle timeline of the run — see ``repro.obs`` and
     ``docs/observability.md``.
-
-    ``sim_scheduler`` selects the engine's pending-event scheduler
-    (``"calendar"`` or ``"heap"``, see ``repro.sim.scheduler``).  Both
-    are result-identical per seed — the knob trades implementation for
-    wall-clock speed only, which is why it is a run argument and not
-    part of the (result-embedded) :class:`WorkloadSpec`.
     """
-    env = Environment(scheduler=sim_scheduler)
+    env = Environment()
     if tracer is not None:
         env.tracer = tracer
     n_measured = spec.total_requests

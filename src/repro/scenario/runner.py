@@ -176,7 +176,6 @@ def _execute(
             retry_policy=retry,
             max_virtual_time=scenario.run.max_virtual_time,
             qos=qos,
-            sim_scheduler=scenario.run.sim_scheduler,
         )
     except WatchdogTimeout as err:
         run = ScenarioRun(

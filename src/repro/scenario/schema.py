@@ -505,7 +505,6 @@ class RunShape:
     schemes: Tuple[str, ...] = ("dosas",)
     baseline: str = "unprotected"
     max_virtual_time: float = 120.0
-    sim_scheduler: str = "calendar"
 
     def __post_init__(self) -> None:
         if not self.seeds:
@@ -521,7 +520,6 @@ _RUN_FIELDS: Dict[str, _Parser] = {
     "schemes": _seq(_str(choices=("ts", "as", "dosas"))),
     "baseline": _str(choices=BASELINE_MODES),
     "max_virtual_time": _num(exclusive_minimum=0.0),
-    "sim_scheduler": _str(choices=("calendar", "heap")),
 }
 
 

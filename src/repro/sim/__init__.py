@@ -29,10 +29,9 @@ Public surface
     I/O queues.
 ``TimeWeightedStat``
     Time-weighted average of a piecewise-constant signal.
-``EventScheduler``, ``HeapScheduler``, ``CalendarScheduler``
-    Pluggable pending-event schedulers (``Environment(scheduler=...)``)
-    — the slotted timestamp queue is the default, the binary heap
-    the reference; both give identical results per seed.
+``HeapScheduler``
+    The pending-event queue: one binary heap in ``(time, priority,
+    insertion order)`` order, with lazy deletion of cancelled timers.
 """
 
 from repro.sim.exceptions import Failure, Interrupt, SimulationError, StopProcess
@@ -46,14 +45,7 @@ from repro.sim.events import (
     Timer,
 )
 from repro.sim.engine import Environment
-from repro.sim.hotstate import FlyweightPool
-from repro.sim.scheduler import (
-    SCHEDULERS,
-    CalendarScheduler,
-    EventScheduler,
-    HeapScheduler,
-    make_event_scheduler,
-)
+from repro.sim.scheduler import HeapScheduler, make_event_scheduler
 from repro.sim.process import Process
 from repro.sim.resources import (
     Container,
@@ -69,15 +61,12 @@ from repro.sim.monitor import TimeWeightedStat
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarScheduler",
     "Condition",
     "Container",
     "Environment",
     "Event",
-    "EventScheduler",
     "Failure",
     "FilterStore",
-    "FlyweightPool",
     "HeapScheduler",
     "Interrupt",
     "PENDING",
@@ -88,7 +77,6 @@ __all__ = [
     "Release",
     "Request",
     "Resource",
-    "SCHEDULERS",
     "SimulationError",
     "StopProcess",
     "Store",

@@ -1,7 +1,7 @@
 """The simulation event loop.
 
-:class:`Environment` owns simulated time and a pluggable scheduler of
-triggered events (see :mod:`repro.sim.scheduler`).  ``run()`` pops
+:class:`Environment` owns simulated time and the queue of triggered
+events (a binary heap, see :mod:`repro.sim.scheduler`).  ``run()`` pops
 events in ``(time, priority, insertion order)`` order, advances the
 clock, and fires callbacks — which resume waiting processes.
 
@@ -11,8 +11,7 @@ by a monotonically increasing sequence number, so two runs of the same
 model produce identical traces.  This matters for the reproduction:
 the paper's Table IV compares scheduler decisions against empirically
 best choices, and nondeterministic tie-breaking would make that
-comparison flaky.  Both schedulers implement exactly this order, so
-the choice of scheduler changes wall-clock speed, never results.
+comparison flaky.
 """
 
 from __future__ import annotations
@@ -30,18 +29,9 @@ from repro.sim.events import (
 )
 from repro.sim.exceptions import SimulationError
 from repro.sim.process import Process
-from repro.sim.scheduler import (
-    CalendarScheduler,
-    EventScheduler,
-    HeapScheduler,
-    make_event_scheduler,
-)
+from repro.sim.scheduler import HeapScheduler, make_event_scheduler
 
 Infinity = float("inf")
-
-
-class _EmptySchedule(Exception):
-    """Raised internally when the event queue runs dry."""
 
 
 class Environment:
@@ -52,20 +42,13 @@ class Environment:
     initial_time:
         Starting value of the simulated clock (seconds by convention
         throughout this codebase).
-    scheduler:
-        Pending-event scheduler: ``"calendar"`` (slotted per
-        timestamp, default) or ``"heap"`` (the reference binary
-        heap).  Both produce identical results per seed; see
-        :mod:`repro.sim.scheduler`.
     """
 
     __slots__ = ("_now", "_sched", "_push", "_active_process", "tracer")
 
-    def __init__(
-        self, initial_time: float = 0.0, scheduler: str = "calendar"
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._sched = make_event_scheduler(scheduler, self)
+        self._sched = make_event_scheduler("heap", self)
         #: Bound push method, cached so the inlined trigger paths in
         #: events.py/process.py/resources.py pay one attribute load.
         self._push = self._sched.push
@@ -88,12 +71,12 @@ class Environment:
         return self._active_process
 
     @property
-    def scheduler(self) -> EventScheduler:
-        """The active event scheduler (for stats and introspection)."""
+    def scheduler(self) -> HeapScheduler:
+        """The pending-event queue (for stats and introspection)."""
         return self._sched
 
     def scheduler_stats(self) -> Dict[str, Any]:
-        """Queue statistics of the active scheduler (stable keys)."""
+        """Queue statistics of the pending-event queue (stable keys)."""
         return self._sched.stats()
 
     # -- event factories ----------------------------------------------------
@@ -137,7 +120,7 @@ class Environment:
         """Process the single next event (advancing the clock to it)."""
         event = self._sched.pop()
         if event is None:
-            raise _EmptySchedule()
+            raise SimulationError("no scheduled events")
 
         if self.tracer.trace_engine:
             # High-volume: every processed event.  Gated by its own
@@ -155,21 +138,6 @@ class Environment:
             # An unhandled failure: crash the run so errors are loud.
             exc = event._value
             raise exc
-
-    def _dispatch(self, event: Event, trace_engine: bool) -> None:
-        """Fire ``event``'s callbacks (generic-scheduler slow path)."""
-        if trace_engine:
-            self.tracer.instant(
-                self._now, "event", "engine", etype=type(event).__name__
-            )
-        callbacks = event.callbacks
-        event.callbacks = None  # mark processed
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        if event._ok is False and not event._defused:
-            # Unhandled failure: crash loudly.
-            raise event._value
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -203,127 +171,30 @@ class Environment:
                         f"until={stop_time} lies in the past (now={self._now})"
                     )
 
-        # Inlined hot loops, specialized per scheduler so the per-event
-        # cost is the data-structure touch itself, not interface
-        # plumbing:
-        #
-        # - calendar: slotted batch execution.  The open slot's two
-        #   deques are drained through locals — one or two truthiness
-        #   tests plus a C ``popleft`` per event, no method call, no
-        #   clock write, no queue probe.  ``_open_slot`` runs once per
-        #   *distinct timestamp* and does the clock update and min
-        #   search for the whole batch.  Urgent is re-checked first on
-        #   every iteration, so a mid-batch URGENT push overtakes the
-        #   remaining NORMAL backlog exactly as the heap would order
-        #   it.  (``_open_slot`` swaps the deque objects; compaction
-        #   filters them in place — so the locals stay valid between
-        #   refreshes.)
-        # - heap: the historical inlined ``heappop`` loop.
-        # - anything else: the generic ``pop()`` interface.
-        #
+        # Inlined hot loops: the ``heappop`` sits in the loop itself,
+        # so the per-event cost is the heap touch, not method calls.
         # The engine-trace check is hoisted to a local so the common
         # untraced (NULL_TRACER) case pays a single bool test per
         # event.  ``step()``/``peek()`` remain for single-stepping
-        # callers.  Each specialization comes in a bounded
-        # (until=<time>) and an unbounded (until=None / until=<event>)
-        # variant so the unbounded one skips the stop-time comparison
-        # entirely.
-        sched = self._sched
+        # callers.  The bounded (until=<time>) and unbounded
+        # (until=None / until=<event>) runs get a loop each, so the
+        # unbounded one skips the stop-time comparison entirely.
+        # ``compact()`` filters ``queue`` in place, so the local stays
+        # valid across sweeps.
+        queue = self._sched._queue
         tracer = self.tracer
         trace_engine = tracer.trace_engine
         if stop_time < Infinity:
-            # A slot left half-drained by a previous run(until=event)
-            # may sit exactly at the horizon; events at `stop_time`
-            # must stay queued (simpy semantics), so refuse to re-open
-            # it before entering the compare-free batch loop.
-            if not sched.slot_blocked(stop_time):
-                if type(sched) is CalendarScheduler:
-                    urgent = sched._cur_urgent
-                    normal = sched._cur_normal
-                    while True:
-                        if urgent:
-                            event = urgent.popleft()
-                        elif normal:
-                            event = normal.popleft()
-                        else:
-                            ev = sched._open_slot(stop_time)
-                            if ev is None:
-                                break
-                            event = ev
-                            urgent = sched._cur_urgent
-                            normal = sched._cur_normal
-                        if trace_engine:
-                            tracer.instant(
-                                self._now, "event", "engine",
-                                etype=type(event).__name__,
-                            )
-                        callbacks = event.callbacks
-                        event.callbacks = None  # mark processed
-                        if callbacks:
-                            for callback in callbacks:
-                                callback(event)
-                        if event._ok is False and not event._defused:
-                            # Unhandled failure: crash loudly.
-                            raise event._value
-                elif type(sched) is HeapScheduler:
-                    queue = sched._queue
-                    while queue:
-                        if queue[0][0] >= stop_time:
-                            # Events at exactly `stop_time` stay queued
-                            # (simpy semantics).
-                            break
-                        when, _prio, _eid, event = heappop(queue)
-                        self._now = when
-                        if trace_engine:
-                            tracer.instant(
-                                when, "event", "engine",
-                                etype=type(event).__name__,
-                            )
-                        callbacks = event.callbacks
-                        event.callbacks = None  # mark processed
-                        if callbacks:
-                            for callback in callbacks:
-                                callback(event)
-                        if event._ok is False and not event._defused:
-                            # Unhandled failure: crash loudly.
-                            raise event._value
-                else:  # pragma: no cover - third-party schedulers
-                    pop = sched.pop
-                    while True:
-                        maybe = pop(stop_time)
-                        if maybe is None:
-                            break
-                        self._dispatch(maybe, trace_engine)
-            # Whether the horizon cut the run short or the queue
-            # drained, the clock ends exactly at the horizon.
-            self._now = stop_time
-        elif type(sched) is CalendarScheduler:
-            urgent = sched._cur_urgent
-            normal = sched._cur_normal
-            while True:
-                if at_event is not None and at_event.callbacks is None:
+            while queue:
+                if queue[0][0] >= stop_time:
+                    # Events at exactly `stop_time` stay queued
+                    # (simpy semantics).
                     break
-                if urgent:
-                    event = urgent.popleft()
-                elif normal:
-                    event = normal.popleft()
-                else:
-                    ev = sched._open_slot(Infinity)
-                    if ev is None:
-                        if at_event is not None:
-                            raise SimulationError(
-                                "run(until=event) exhausted the event "
-                                "queue before the event triggered — the "
-                                "model deadlocked"
-                            )
-                        break
-                    event = ev
-                    urgent = sched._cur_urgent
-                    normal = sched._cur_normal
+                when, _prio, _eid, event = heappop(queue)
+                self._now = when
                 if trace_engine:
                     tracer.instant(
-                        self._now, "event", "engine",
-                        etype=type(event).__name__,
+                        when, "event", "engine", etype=type(event).__name__
                     )
                 callbacks = event.callbacks
                 event.callbacks = None  # mark processed
@@ -333,8 +204,10 @@ class Environment:
                 if event._ok is False and not event._defused:
                     # Unhandled failure: crash loudly.
                     raise event._value
-        elif type(sched) is HeapScheduler:
-            queue = sched._queue
+            # Whether the horizon cut the run short or the queue
+            # drained, the clock ends exactly at the horizon.
+            self._now = stop_time
+        else:
             while True:
                 if at_event is not None and at_event.callbacks is None:
                     break
@@ -350,8 +223,7 @@ class Environment:
                 self._now = when
                 if trace_engine:
                     tracer.instant(
-                        when, "event", "engine",
-                        etype=type(event).__name__,
+                        when, "event", "engine", etype=type(event).__name__
                     )
                 callbacks = event.callbacks
                 event.callbacks = None  # mark processed
@@ -361,21 +233,6 @@ class Environment:
                 if event._ok is False and not event._defused:
                     # Unhandled failure: crash loudly.
                     raise event._value
-        else:  # pragma: no cover - third-party schedulers
-            pop = sched.pop
-            while True:
-                if at_event is not None and at_event.callbacks is None:
-                    break
-                maybe = pop()
-                if maybe is None:
-                    if at_event is not None:
-                        raise SimulationError(
-                            "run(until=event) exhausted the event queue "
-                            "before the event triggered — the model "
-                            "deadlocked"
-                        )
-                    break
-                self._dispatch(maybe, trace_engine)
 
         if at_event is not None:
             if at_event.ok:
@@ -385,7 +242,4 @@ class Environment:
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<Environment now={self._now} queued={len(self._sched)} "
-            f"scheduler={self._sched.name}>"
-        )
+        return f"<Environment now={self._now} queued={len(self._sched)}>"

@@ -13,7 +13,10 @@ changed no simulated output:
   and a policed tenant mix;
 - for ``run_plan``, every ``(app, process_index, sequence, started_at,
   finished_at, disposition)`` outcome of ``bench_ablation_multiapp``'s
-  plan, in completion order, under all three schemes.
+  plan, in completion order, under all three schemes;
+- the whole record, computed kernel values included, of a DOSAS run
+  that executes its ``sum`` kernels under a chaos schedule, and the
+  seed-0 ``chaos-soak`` scenario report.
 """
 
 import hashlib
@@ -28,6 +31,7 @@ from repro.faults import scenario
 from repro.pvfs.client import reset_parent_ids
 from repro.pvfs.requests import reset_request_ids
 from repro.qos import QoSConfig, TenantSpec
+from repro.scenario import BUILTIN, run_scenario, scenario_from_dict
 from repro.workload import (
     ArrivalPattern,
     BatchApplication,
@@ -125,6 +129,15 @@ PLAN_PINS = {
                    26.477381213476328, 12, 4, 1),
 }
 
+#: SHA-256 of the executed-kernel chaos run's record, ``results`` kept.
+KERNEL_CHAOS_DIGEST = (
+    "8b1be70c5eb00c5823c40d808cacd993a3e9ed8611622f4c50dde86b622173f8"
+)
+#: SHA-256 of ``ScenarioReport.to_json()`` for ``chaos-soak`` at seed 0.
+CHAOS_SOAK_DIGEST = (
+    "ddd234e1491fa789322e656ea2914f0bda33a90c65ab88474a8032a51f9db39d"
+)
+
 
 def _fresh_ids():
     # Process-global id counters restart so rids in the retry logs
@@ -171,3 +184,21 @@ def test_run_plan_outcomes_unchanged(scheme):
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert (digest, r.makespan, r.served_active, r.demoted, r.interrupted) == \
         PLAN_PINS[scheme]
+
+
+def test_executed_kernel_chaos_record_unchanged():
+    _fresh_ids()
+    spec = WorkloadSpec(
+        kernel="sum", n_requests=3, request_bytes=8 * MB, n_storage=2,
+        execute_kernels=True, seed=11,
+    )
+    result = run_scheme(Scheme.DOSAS, spec, fault_schedule=scenario(
+        "chaos", seed=5, n_events=6, span=1.5, n_targets=2))
+    text = json.dumps(asdict(result), sort_keys=True, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_CHAOS_DIGEST
+
+
+def test_chaos_soak_report_unchanged():
+    report = run_scenario(scenario_from_dict(BUILTIN["chaos-soak"]), seeds=(0,))
+    text = report.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == CHAOS_SOAK_DIGEST

@@ -1,10 +1,8 @@
 """Sim-layer fixtures.
 
-The ``env`` fixture is parametrized over both event schedulers here
-(overriding the plain global one), so every engine/event/process/
-resource/store test in ``tests/sim`` runs twice — once against the
-calendar scheduler, once against the reference heap.  Any behavioral
-divergence between the two fails the exact test that observes it.
+The ``env`` fixture here overrides the plain global one with a single
+``heap`` param, so every engine/event/process/resource/store test in
+``tests/sim`` names the event queue it ran against in its test id.
 """
 
 import pytest
@@ -12,7 +10,7 @@ import pytest
 from repro.sim import Environment
 
 
-@pytest.fixture(params=["calendar", "heap"])
-def env(request):
-    """A fresh simulation environment, once per scheduler."""
-    return Environment(scheduler=request.param)
+@pytest.fixture(params=["heap"])
+def env():
+    """A fresh simulation environment on the binary-heap event queue."""
+    return Environment()

@@ -3,27 +3,17 @@
 Cancelled :class:`Timer`\\ s and abandoned events used to sit in the
 pending queue until their timestamps — a long soak with per-request
 deadline timers carried thousands of corpses.  These tests pin the
-sweep behavior on both schedulers: the pending set stays bounded over
-a soak-length cancel workload, swept events behave exactly like
-processed no-ops, and live events are never touched.
+sweep behavior: the pending set stays bounded over a soak-length
+cancel workload, swept events behave exactly like processed no-ops,
+and live events are never touched.
 """
-
-import pytest
 
 from repro.sim import Environment, Event, Timer
 from repro.sim.scheduler import COMPACT_MIN_DEAD
 
-SCHEDULERS = ["calendar", "heap"]
-
-
-@pytest.fixture(params=SCHEDULERS)
-def fresh_env(request):
-    return Environment(scheduler=request.param)
-
 
 class TestTimerCancelSweep:
-    def test_cancelled_timers_are_swept(self, fresh_env):
-        env = fresh_env
+    def test_cancelled_timers_are_swept(self, env):
         fired = []
         timers = [
             Timer(env, 1000.0 + i, lambda i=i: fired.append(i))
@@ -39,7 +29,7 @@ class TestTimerCancelSweep:
         assert fired == []
         assert all(t.processed for t in timers)
 
-    def test_soak_length_queue_stays_bounded(self, fresh_env):
+    def test_soak_length_queue_stays_bounded(self, env):
         """Regression: create/cancel deadline timers for 10k requests.
 
         Before lazy deletion the queue grew to ~10k entries (every
@@ -47,7 +37,6 @@ class TestTimerCancelSweep:
         sweep the high-water mark stays within a small constant of the
         live population.
         """
-        env = fresh_env
 
         def request_lifecycle():
             for _ in range(10_000):
@@ -63,8 +52,7 @@ class TestTimerCancelSweep:
         assert env.scheduler.compactions > 0
         assert len(env.scheduler) == 0
 
-    def test_cancel_after_fire_is_noop(self, fresh_env):
-        env = fresh_env
+    def test_cancel_after_fire_is_noop(self, env):
         fired = []
         t = Timer(env, 1.0, lambda: fired.append("x"))
         env.run()
@@ -74,8 +62,7 @@ class TestTimerCancelSweep:
 
 
 class TestAbandonSweep:
-    def test_abandoned_events_are_swept(self, fresh_env):
-        env = fresh_env
+    def test_abandoned_events_are_swept(self, env):
         corpses = [env.timeout(900.0) for _ in range(3 * COMPACT_MIN_DEAD)]
         live = env.timeout(901.0, value="live")
         for ev in corpses:
@@ -91,8 +78,7 @@ class TestAbandonSweep:
         assert waited == ["live"]
         assert env.now == 901.0
 
-    def test_abandon_pending_event_is_noop(self, fresh_env):
-        env = fresh_env
+    def test_abandon_pending_event_is_noop(self, env):
         ev = Event(env)  # never triggered, never queued
         ev.abandon()
         assert not ev.processed
@@ -101,8 +87,7 @@ class TestAbandonSweep:
         # The pending (unqueued) event must have survived untouched.
         assert not ev.processed
 
-    def test_abandon_is_idempotent(self, fresh_env):
-        env = fresh_env
+    def test_abandon_is_idempotent(self, env):
         ev = env.timeout(50.0)
         ev.abandon()
         ev.abandon()
@@ -111,51 +96,38 @@ class TestAbandonSweep:
 
 
 class TestSweepCorrectness:
-    def test_live_events_survive_interleaved_sweeps(self, fresh_env):
-        """Interleave live timeouts with corpses; order is untouched."""
-        env = fresh_env
-        seen = []
+    def test_live_events_survive_interleaved_sweeps(self, env, monkeypatch):
+        """Corpses interleaved in time with live timeouts, swept mid-run.
 
-        def sleeper(i):
-            yield env.timeout(1.0 + (i % 7) * 0.25)
-            seen.append(i)
+        The sweep filters the heap list, which breaks the heap shape
+        unless it is restored; live events must still pop in order.
+        """
 
-        for i in range(50):
-            env.process(sleeper(i))
-        for _ in range(3 * COMPACT_MIN_DEAD):
-            Timer(env, 2_000.0, lambda: None).cancel()
-        env.run()
+        def model(env):
+            seen = []
+            corpses = [
+                Timer(env, 1.0 + (k % 13) * 0.125, lambda: None)
+                for k in range(3 * COMPACT_MIN_DEAD)
+            ]
+
+            def sleeper(i):
+                yield env.timeout(1.0 + (i % 7) * 0.25)
+                seen.append((env.now, i))
+
+            def canceller():
+                yield env.timeout(0.5)
+                for timer in corpses:
+                    timer.cancel()
+
+            for i in range(50):
+                env.process(sleeper(i))
+            env.process(canceller())
+            env.run()
+            return seen, env.scheduler.compactions
+
+        seen, compactions = model(env)
         assert len(seen) == 50
-        # Same order as the heap reference computes it.
-        ref_env = Environment(scheduler="heap")
-        ref_seen = []
-
-        def ref_sleeper(i):
-            yield ref_env.timeout(1.0 + (i % 7) * 0.25)
-            ref_seen.append(i)
-
-        for i in range(50):
-            ref_env.process(ref_sleeper(i))
-        ref_env.run()
-        assert seen == ref_seen
-
-    def test_sweep_mid_slot(self):
-        """Corpses sitting in the *open* slot are swept too."""
-        env = Environment(scheduler="calendar")
-        sched = env.scheduler
-        fired = []
-        # One live timer opens the slot at t=1; corpses share it.
-        lead = Timer(env, 1.0, lambda: fired.append("lead"))
-        corpses = [
-            Timer(env, 1.0, lambda: fired.append("corpse"))
-            for _ in range(3 * COMPACT_MIN_DEAD)
-        ]
-        tail = Timer(env, 1.0, lambda: fired.append("tail"))
-        env.step()  # processes `lead`, leaves the slot open
-        assert fired == ["lead"]
-        for t in corpses:
-            t.cancel()
-        assert len(sched) < COMPACT_MIN_DEAD
-        env.run()
-        assert fired == ["lead", "tail"]
-        assert tail.processed
+        assert compactions > 0
+        # The reference: the same model with the sweep out of reach.
+        monkeypatch.setattr("repro.sim.scheduler.COMPACT_MIN_DEAD", 10**9)
+        assert model(Environment()) == (seen, 0)

@@ -154,3 +154,7 @@ class TestStep:
         env.step()
         assert t1.processed and not t2.processed
         assert env.now == 1
+
+    def test_step_on_empty_queue_raises_simulation_error(self, env):
+        with pytest.raises(SimulationError, match="no scheduled events"):
+            env.step()
