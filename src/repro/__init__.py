@@ -15,8 +15,6 @@ Subpackages
 ``repro.kernels``
     Processing kernels: real numpy implementations with streaming
     checkpoint/restore plus calibrated cost models.
-``repro.shm``
-    Shared-memory protocol between the Active I/O Runtime and kernels.
 ``repro.mpiio``
     Enhanced MPI-IO interface (``MPI_File_read_ex`` + struct result).
 ``repro.core``

@@ -61,7 +61,7 @@ __all__ = [
 
 #: Packages whose modules' source feeds :func:`default_salt`: every
 #: module in them can change a simulated result.  The rest of
-#: ``repro`` (analysis, cache, cli, lint, parallel, scenario, shm)
+#: ``repro`` (analysis, cache, cli, lint, parallel, scenario)
 #: orchestrates runs or reads their results, and the cache key already
 #: carries everything they pass in.
 _SALT_PACKAGES = (

@@ -268,15 +268,9 @@ class ActiveStorageClient:
         self.registrations.append(
             _Registration(operation=operation, size=size, fh=fh, meta=dict(meta or {}))
         )
-        if retry is None:
-            replies: List[IOReply] = yield from self.pvfs.read_active(
-                fh, operation, offset=offset, size=size, meta=meta
-            )
-        else:
-            requests = self.pvfs._build_requests(
-                fh, offset, size, IOKind.ACTIVE, operation, meta
-            )
-            replies = yield from self._gather_with_retry(requests, retry)
+        replies = yield from self._issue(
+            fh, offset, size, IOKind.ACTIVE, operation, meta, retry
+        )
 
         kernel = self.registry.get(operation)
         partials: List[Any] = []
@@ -341,15 +335,31 @@ class ActiveStorageClient:
         With a :class:`RetryPolicy`, per-server pieces recover from
         crashes and hangs the same way active reads do.
         """
-        if retry is None:
-            replies: List[IOReply] = yield from self.pvfs.read(
-                fh, offset=offset, size=size
-            )
-            return replies
         size = fh.size - offset if size is None else size
-        requests = self.pvfs._build_requests(fh, offset, size, IOKind.NORMAL, None, None)
-        replies = yield from self._gather_with_retry(requests, retry)
-        return replies
+        return (yield from self._issue(fh, offset, size, IOKind.NORMAL, None, None, retry))
+
+    def _issue(
+        self,
+        fh: FileHandle,
+        offset: int,
+        size: int,
+        kind: IOKind,
+        operation: Optional[str],
+        meta: Optional[Dict[str, Any]],
+        retry: Optional[RetryPolicy],
+    ) -> Generator[Event, Any, List[IOReply]]:
+        """Issue one logical read; returns the generator gathering its replies.
+
+        The per-server requests are built once.  The generator
+        scatter-gathers them or, under a retry policy, drives each
+        through recovery on its own.  A plain function, not a
+        generator, so ``yield from`` runs the gather with no extra
+        frame in between.
+        """
+        requests = self.pvfs.build_requests(fh, offset, size, kind, operation, meta)
+        if retry is None:
+            return self.pvfs.scatter_gather(requests)
+        return self._gather_with_retry(requests, retry)
 
     # -- fault recovery (see repro.faults) ----------------------------------
     def _gather_with_retry(
@@ -670,7 +680,6 @@ class ActiveStorageClient:
         self, request: IORequest, checkpoint: Optional[KernelCheckpoint]
     ) -> IOReply:
         """Synthesize a demoted reply without touching the server."""
-        done = checkpoint.bytes_done if checkpoint is not None else 0
         tr = self.env.tracer
         if tr.enabled:
             tr.instant(
@@ -680,20 +689,7 @@ class ActiveStorageClient:
                 rid=request.rid,
                 server=self.pvfs.server_for(request).node.name,
             )
-        return IOReply(
-            rid=request.rid,
-            completed=False,
-            checkpoint=checkpoint,
-            fh=request.fh,
-            offset=request.offset + done,
-            remaining=request.size - done,
-            extents=request.extents,
-            bytes_done=done,
-            bytes_streamed=0.0,
-            demoted=True,
-            served_active=False,
-            finished_at=self.env.now,
-        )
+        return IOReply.demoted(request, checkpoint, self.env.now)
 
     def _log_retry(self, request: IORequest, attempt: int, reason: str) -> None:
         tr = self.env.tracer
@@ -749,11 +745,7 @@ class ActiveStorageClient:
         partial = None
         if self.execute_kernels:
             file = self.pvfs.mds.lookup(reply.fh.name)
-            state = (
-                kernel.resume(checkpoint)
-                if checkpoint is not None and checkpoint.records
-                else kernel.init_state(self._meta_for(reply.fh, meta))
-            )
+            state = kernel.state_from(checkpoint, reply.fh.kernel_meta(meta))
             if remaining > 0:
                 data = read_extent_stream(file, reply.extents, done, remaining,
                                           dtype=kernel.dtype)
@@ -770,11 +762,3 @@ class ActiveStorageClient:
         if len(real) == 1:
             return real[0]
         return kernel.combine(real)
-
-    @staticmethod
-    def _meta_for(
-        fh: FileHandle, meta: Optional[Dict[str, Any]]
-    ) -> Optional[Dict[str, Any]]:
-        merged: Dict[str, Any] = dict(fh.meta_dict)
-        merged.update(meta or {})
-        return merged or None

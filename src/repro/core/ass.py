@@ -3,8 +3,11 @@
 "The ASS is placed on storage nodes, and is responsible for processing
 different I/O requests."  It is the composition of the Active I/O
 Runtime, the Contention Estimator and a storage-side PK deployment,
-attached to a PVFS I/O server as its active handler.  The shared-
-memory channel between R and the kernels is also owned here.
+attached to a PVFS I/O server as its active handler.  The runtime
+talks to its kernels by the paper's Sec. III-E protocol: the interrupt
+it throws into a kernel process is the terminate signal, and the
+kernel answers with a :class:`~repro.kernels.base.KernelCheckpoint`
+of (name, type, value) records.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from repro.sim.engine import Environment
 from repro.cluster.network import Link
 from repro.cluster.node import StorageNode
 from repro.kernels.registry import KernelRegistry, default_registry
-from repro.shm.channel import Channel
 from repro.core.estimator import ContentionEstimator
 from repro.core.runtime import ActiveIORuntime, RuntimeConfig
 from repro.pvfs.requests import IORequest
@@ -43,8 +45,6 @@ class ActiveStorageServer:
         #: instances — which also lets experiments override a kernel's
         #: rate once and have every side observe it.
         self.registry = registry or default_registry
-        #: Runtime ↔ kernel shared-memory channel (Sec. III-E).
-        self.channel = Channel(env)
         self.estimator = estimator
         self.runtime = ActiveIORuntime(
             env=env,

@@ -621,7 +621,7 @@ def _client_process(
                     data = system.mds.lookup(fh.name).read_bytes_as_array(
                         0, request.size, dtype=kernel.dtype
                     )
-                    result = kernel.apply(data, meta=fh.meta_dict or None)
+                    result = kernel.apply(data, meta=fh.kernel_meta())
         outcomes.append(
             RequestOutcome(request, started, env.now, result, disposition)
         )

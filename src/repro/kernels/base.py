@@ -231,5 +231,18 @@ class Kernel(abc.ABC):
             )
         return checkpoint.restore()
 
+    def state_from(
+        self, checkpoint: Optional[KernelCheckpoint], meta: Optional[dict] = None
+    ) -> KernelState:
+        """The state an execution continues from, on either side.
+
+        Resumes ``checkpoint`` when it holds variable records; starts
+        from :meth:`init_state` otherwise — no checkpoint, or one that
+        carries progress only (a timing-only run's).
+        """
+        if checkpoint is not None and checkpoint.records:
+            return self.resume(checkpoint)
+        return self.init_state(meta)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Kernel {self.name} rate={self.rate:.3g} B/s>"

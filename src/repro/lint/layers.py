@@ -34,8 +34,8 @@ LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     # layer: the engine carries a tracer field, the metrics registry
     # wraps the engine's time-weighted statistics.
     ("foundation", ("repro.sim", "repro.obs")),
-    # The machine model: nodes/CPUs/NICs, kernels, shared memory.
-    ("machine", ("repro.cluster", "repro.kernels", "repro.shm")),
+    # The machine model: nodes/CPUs/NICs and kernels.
+    ("machine", ("repro.cluster", "repro.kernels")),
     # Pure policy packages: no upward imports by design — pvfs and
     # core consume them (docs/architecture.md).
     ("policy", ("repro.qos", "repro.straggler")),

@@ -138,7 +138,9 @@ class File:
         by return the struct is always ``completed == 1`` with ``buf``
         holding the (combined) kernel result; the intermediate
         uncompleted state is observable through ``status.demotions``
-        and the lower-level ``PVFSClient.read_active`` API.
+        and, one level down, as the per-server ``completed == 0``
+        replies (``IOReply.demoted``) ``ActiveStorageClient.read_ex``
+        finishes.
         """
         self._ensure_open()
         nbytes = self._extent(count, datatype)

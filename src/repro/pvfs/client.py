@@ -1,14 +1,17 @@
 """The PVFS client library running on each compute node.
 
 Scatters logical reads over the I/O servers holding the file's
-stripes, gathers the per-server replies, and exposes both the normal
-path (plain reads) and the active path (reads carrying an operation
-name).  The Active Storage Client (``repro.core.asc``) builds on the
-active path; plain applications use :meth:`read`.
+stripes and gathers the per-server replies, in two steps:
+:meth:`PVFSClient.build_requests` cuts a logical extent into
+per-server requests and :meth:`PVFSClient.scatter_gather` submits them
+and waits for every reply.  :meth:`PVFSClient.read` and
+:meth:`PVFSClient.write` compose the two; the Active Storage Client
+(``repro.core.asc``) composes them for its reads, active or plain, or
+drives the built requests through its own retry recovery.
 
-All client methods are *simulation processes*: drive them with
-``yield from`` inside another process, or wrap in ``env.process`` and
-``env.run(until=...)``.
+Reads, writes and the gather are *simulation processes*: drive them
+with ``yield from`` inside another process, or wrap in ``env.process``
+and ``env.run(until=...)``.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ class PVFSClient:
         return self.mds.open(name)
 
     # -- request fabrication ---------------------------------------------------------
-    def _build_requests(
+    def build_requests(
         self,
         fh: FileHandle,
         offset: int,
@@ -79,8 +82,12 @@ class PVFSClient:
         kind: IOKind,
         operation: Optional[str],
         meta: Optional[dict],
-        resume_from: Optional[KernelCheckpoint] = None,
     ) -> List[IORequest]:
+        """One request per I/O server holding ``[offset, offset+size)``.
+
+        Each covers that server's contiguous runs of the extent, in
+        logical order; all share one parent id.
+        """
         if offset < 0 or size < 0 or offset + size > fh.size:
             raise PVFSError(
                 f"extent [{offset}, {offset + size}) outside {fh.name!r} "
@@ -109,7 +116,6 @@ class PVFSClient:
                     reply=self.env.event(),
                     submitted_at=self.env.now,
                     meta=dict(meta or {}),
-                    resume_from=resume_from,
                     tenant=self.tenant,
                     extents=tuple(pieces),
                 )
@@ -126,8 +132,8 @@ class PVFSClient:
         total transferred equals ``size``.
         """
         size = fh.size - offset if size is None else size
-        requests = self._build_requests(fh, offset, size, IOKind.NORMAL, None, None)
-        return self._scatter_gather(requests)
+        requests = self.build_requests(fh, offset, size, IOKind.NORMAL, None, None)
+        return self.scatter_gather(requests)
 
     # -- writes ----------------------------------------------------------------
     def write(
@@ -149,7 +155,7 @@ class PVFSClient:
             data = np.ascontiguousarray(data)
             size = data.nbytes if size is None else size
         size = fh.size - offset if size is None else size
-        requests = self._build_requests(fh, offset, size, IOKind.WRITE, None, None)
+        requests = self.build_requests(fh, offset, size, IOKind.WRITE, None, None)
         if data is not None:
             flat = data.reshape(-1).view(np.uint8)
             for request in requests:
@@ -160,30 +166,7 @@ class PVFSClient:
                 request.payload = (
                     pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
                 )
-        return self._scatter_gather(requests)
-
-    # -- active I/O -----------------------------------------------------------
-    def read_active(
-        self,
-        fh: FileHandle,
-        operation: str,
-        offset: int = 0,
-        size: Optional[int] = None,
-        meta: Optional[dict] = None,
-        resume_from: Optional[KernelCheckpoint] = None,
-    ) -> Generator[Event, Any, List[IOReply]]:
-        """Issue an active read (simulation process).
-
-        Each stripe server receives an active request for its share;
-        replies may be completed (server-side result), demoted
-        (``completed == 0``), or partially-completed with a checkpoint.
-        The caller — normally the ASC — handles demotions.
-        """
-        size = fh.size - offset if size is None else size
-        requests = self._build_requests(
-            fh, offset, size, IOKind.ACTIVE, operation, meta, resume_from
-        )
-        return self._scatter_gather(requests)
+        return self.scatter_gather(requests)
 
     # -- transport -------------------------------------------------------------
     def server_for(self, request: IORequest) -> IOServer:
@@ -268,7 +251,7 @@ class PVFSClient:
             extents=request.extents,
         )
 
-    def _scatter_gather(
+    def scatter_gather(
         self, requests: List[IORequest]
     ) -> Generator[Event, Any, List[IOReply]]:
         """Submit per-server requests, wait for every reply (process)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 import numpy.typing as npt
@@ -169,10 +169,18 @@ class FileHandle:
             meta=tuple(sorted(file.meta.items())),
         )
 
-    @property
-    def meta_dict(self) -> Dict[str, object]:
-        """File attributes as a dict."""
-        return dict(self.meta)
+    def kernel_meta(
+        self, extra: Optional[Mapping[str, object]] = None
+    ) -> Optional[Dict[str, object]]:
+        """The metadata a kernel starts from, or None when there is none.
+
+        The file attributes (e.g. image width) overlaid with ``extra``,
+        a request's own metadata, whose entries win.
+        """
+        meta: Dict[str, object] = dict(self.meta)
+        if extra:
+            meta.update(extra)
+        return meta or None
 
 
 from repro.pvfs.layout import StripeLayout  # noqa: E402  (dataclass forward ref)

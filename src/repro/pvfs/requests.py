@@ -217,7 +217,8 @@ class IOReply:
         The request this answers.
     completed:
         True ⇔ the paper's ``completed == 1``: the active computation
-        finished (or, for a normal read, the data arrived).
+        finished (or, for a normal read, the data arrived).  False
+        only on a demoted active I/O (see :meth:`demoted`).
     result:
         ``buf`` when completed: the kernel result (or data size for a
         normal read).
@@ -227,15 +228,13 @@ class IOReply:
     fh:
         File handle (so the client can finish the work).
     offset:
-        "current data position" — the first byte the client-side kernel
-        still has to process.
+        "current data position" — the file offset of the first byte
+        the client-side kernel still has to process.
     remaining:
         Bytes of the request extent not yet processed (0 when
         completed); the ASC reads exactly this much to finish.
     bytes_streamed:
         Bytes that crossed the network for this reply.
-    demoted:
-        True when the server changed this active I/O into a normal I/O.
     served_active:
         True when a storage-side kernel (fully) produced the result.
     finished_at:
@@ -250,7 +249,6 @@ class IOReply:
     offset: int = 0
     remaining: int = 0
     bytes_streamed: float = 0.0
-    demoted: bool = False
     served_active: bool = False
     finished_at: float = 0.0
     #: The request's extent list (see :attr:`IORequest.extents`),
@@ -261,3 +259,42 @@ class IOReply:
     #: Name of the output file a filter kernel wrote at the storage
     #: node (Son et al. write-back convention), when applicable.
     output_file: Optional[str] = None
+
+    @classmethod
+    def demoted(
+        cls,
+        request: IORequest,
+        checkpoint: Optional[KernelCheckpoint],
+        now: float,
+        streamed: float = 0.0,
+    ) -> "IOReply":
+        """The ``completed == 0`` reply that demotes ``request``.
+
+        Paper Sec. III-C: the active I/O becomes a normal I/O that the
+        ASC finishes from the current data position.  ``checkpoint``
+        is ``buf`` — the kernel's variable records, or the request's
+        prior progress carried through, or None when no byte was
+        processed — and ``streamed`` the bytes it cost on the wire.
+        """
+        done = checkpoint.bytes_done if checkpoint is not None else 0
+        # The current data position: the file offset of the first
+        # unprocessed byte of the extent stream (its end when none is).
+        skip = done
+        for position, nbytes in request.extents:
+            if skip < nbytes:
+                break
+            skip -= nbytes
+        else:
+            skip = nbytes
+        return cls(
+            rid=request.rid,
+            completed=False,
+            checkpoint=checkpoint,
+            fh=request.fh,
+            offset=position + skip,
+            remaining=request.size - done,
+            extents=request.extents,
+            bytes_done=done,
+            bytes_streamed=streamed,
+            finished_at=now,
+        )

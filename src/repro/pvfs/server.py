@@ -365,9 +365,9 @@ class IOServer:
     def _shed(self, request: IORequest) -> None:
         """Answer an active arrival as demoted without queueing it.
 
-        The reply mirrors the runtime's demotion (``completed=0``, any
-        prior checkpoint carried through) so the ASC finishes the work
-        client-side — the request never enters ``outstanding``.
+        The reply is the runtime's demotion (:meth:`IOReply.demoted`,
+        any prior checkpoint carried through), so the ASC finishes the
+        work client-side — the request never enters ``outstanding``.
         """
         self.metrics.inc("requests_shed")
         tr = self.env.tracer
@@ -379,24 +379,7 @@ class IOServer:
                 rid=request.rid,
                 queue=len(self.outstanding),
             )
-        checkpoint = request.resume_from
-        done = checkpoint.bytes_done if checkpoint is not None else 0
-        request.reply.succeed(
-            IOReply(
-                rid=request.rid,
-                completed=False,
-                checkpoint=checkpoint,
-                fh=request.fh,
-                offset=request.offset + done,
-                remaining=request.size - done,
-                extents=request.extents,
-                bytes_done=done,
-                bytes_streamed=0.0,
-                demoted=True,
-                served_active=False,
-                finished_at=self.env.now,
-            )
-        )
+        request.reply.succeed(IOReply.demoted(request, request.resume_from, self.env.now))
 
     def shed_queued_active(self, limit: Optional[int] = None) -> int:
         """Demote queued (not yet running) active work to the clients.
@@ -480,7 +463,6 @@ class IOServer:
             fh=request.fh,
             offset=request.offset,
             bytes_streamed=float(request.size),
-            demoted=False,
             served_active=False,
             finished_at=self.env.now,
         )
@@ -528,7 +510,7 @@ class IOServer:
                 self._track,
                 rid=request.rid,
                 completed=reply.completed,
-                demoted=reply.demoted,
+                demoted=not reply.completed,
                 served_active=reply.served_active,
             )
             tr.end(
@@ -536,7 +518,7 @@ class IOServer:
                 "request",
                 self._track,
                 rid=request.rid,
-                outcome="demoted" if reply.demoted else "completed",
+                outcome="completed" if reply.completed else "demoted",
             )
         request.reply.succeed(reply)
 

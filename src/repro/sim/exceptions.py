@@ -33,9 +33,10 @@ class Interrupt(Exception):
     In the DOSAS architecture the Active I/O Runtime interrupts a
     processing kernel that is executing on a storage node when the
     Contention Estimator demotes its request to a normal I/O (paper
-    Sec. III-C).  The kernel catches ``Interrupt``, checkpoints its
-    state through the shared-memory channel, and the computation
-    migrates to the requesting compute node.
+    Sec. III-C).  The kernel catches ``Interrupt`` — the paper's
+    terminate signal — checkpoints its state as (name, type, value)
+    records, and the computation migrates to the requesting compute
+    node.
 
     Parameters
     ----------

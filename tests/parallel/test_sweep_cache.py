@@ -251,8 +251,7 @@ class TestResultCache:
             [sys.executable, "-c", script], env=env, capture_output=True,
             text=True, check=True,
         ).stdout.split()
-        harness = ("repro.cache", "repro.parallel", "repro.scenario",
-                   "repro.shm")
+        harness = ("repro.cache", "repro.parallel", "repro.scenario")
         salted = salted_modules()
         unsalted = [
             name for name in loaded

@@ -89,7 +89,21 @@ class TestFileHandle:
     def test_meta_roundtrip(self):
         f = PVFSFile(name="/f", size=0, layout=StripeLayout(10, 1),
                      meta={"width": 512})
-        assert FileHandle.for_file(f).meta_dict == {"width": 512}
+        assert FileHandle.for_file(f).kernel_meta() == {"width": 512}
+
+    def test_request_meta_overrides_file_attributes(self):
+        f = PVFSFile(name="/f", size=0, layout=StripeLayout(10, 1),
+                     meta={"width": 512, "depth": 2})
+        fh = FileHandle.for_file(f)
+        assert fh.kernel_meta({"width": 64}) == {"width": 64, "depth": 2}
+        assert fh.kernel_meta() == {"width": 512, "depth": 2}
+
+    def test_none_when_file_and_request_meta_are_empty(self):
+        fh = FileHandle.for_file(PVFSFile(name="/f", size=0,
+                                          layout=StripeLayout(10, 1)))
+        assert fh.kernel_meta() is None
+        assert fh.kernel_meta({}) is None
+        assert fh.kernel_meta({"width": 8}) == {"width": 8}
 
 
 class TestMetadataServer:

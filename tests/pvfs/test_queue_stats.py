@@ -52,19 +52,11 @@ class QueuedActiveHandler:
         request = self.server.outstanding.get(rid)
         if request is None:
             return False
-        self.server.finish(request, demoted_reply(self.env, request))
+        self.server.finish(request, IOReply.demoted(request, None, self.env.now))
         return True
 
     def abort(self, rid):
         return False
-
-
-def demoted_reply(env, request):
-    return IOReply(
-        rid=request.rid, completed=False, fh=request.fh,
-        offset=request.offset, remaining=request.size, demoted=True,
-        finished_at=env.now,
-    )
 
 
 def build(max_queue_depth=None):
@@ -123,7 +115,7 @@ class TestBareServer:
         # active request, then gets in.
         cancelled = make(env, fh, IOKind.NORMAL, 2 * MB)
         server.submit(cancelled)
-        assert queued.reply.value.demoted
+        assert not queued.reply.value.completed
         assert server.metrics.get_counter("requests_shed_queued") == 1
         check(server, (3, 1, 11.0 * MB, 5.0 * MB))
 
@@ -147,7 +139,7 @@ class TestBareServer:
 
         # The crashed request's handler answers anyway: a late reply
         # leaves the queue as it is.
-        server.finish(victim, demoted_reply(env, victim))
+        server.finish(victim, IOReply.demoted(victim, None, env.now))
         assert server.metrics.get_counter("late_replies") == 1
         check(server, (0, 0, 0.0, 0.0))
 
@@ -190,7 +182,7 @@ class TestGeneratedMixes:
                 if op == "cancel":
                     server.cancel(request.rid)
                 else:
-                    server.finish(request, demoted_reply(env, request))
+                    server.finish(request, IOReply.demoted(request, None, env.now))
             assert server.queue_stats() == scan(server)
 
 

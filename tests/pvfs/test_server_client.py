@@ -1,5 +1,7 @@
 """I/O server + client: normal path, queue stats, striping behaviour."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.pvfs import (
     PVFSClient,
     PVFSError,
 )
+from repro.kernels.base import KernelCheckpoint
 from repro.pvfs.requests import IOReply, next_request_id
 from repro.pvfs.server import DeadlineExceeded, ServerCrashed
 
@@ -220,6 +223,59 @@ class TestServerBookkeeping:
         node = ComputeNode(env, "cn0", NodeSpec())
         with pytest.raises(PVFSError):
             PVFSClient(env, node, [], mds)
+
+
+class TestDemotedReply:
+    """``IOReply.demoted``: the one ``completed == 0`` reply (Table I)."""
+
+    @staticmethod
+    def fields(reply):
+        return {f.name: getattr(reply, f.name)
+                for f in dataclasses.fields(IOReply)}
+
+    @staticmethod
+    def active(env, fh, offset, size, extents=(), resume_from=None):
+        return IORequest(rid=7, parent_id=3, kind=IOKind.ACTIVE, fh=fh,
+                         offset=offset, size=size, operation="sum",
+                         client_name="c", reply=env.event(),
+                         submitted_at=0.0, resume_from=resume_from,
+                         extents=extents)
+
+    def test_fresh_request(self):
+        env, topo, mds, servers = build()
+        mds.create("/a", size=8 * MB)
+        fh = mds.open("/a")
+        request = self.active(env, fh, 1 * MB, 4 * MB)
+        assert self.fields(IOReply.demoted(request, None, 2.5)) == {
+            "rid": 7, "completed": False, "result": None, "checkpoint": None,
+            "fh": fh, "offset": 1 * MB, "remaining": 4 * MB,
+            "bytes_streamed": 0.0, "served_active": False,
+            "finished_at": 2.5, "extents": ((1 * MB, 4 * MB),),
+            "bytes_done": 0, "output_file": None,
+        }
+
+    # (bytes done, file offset of the first unprocessed byte): inside
+    # the second extent, at the gap between the two, and past the end.
+    @pytest.mark.parametrize("done, position", [
+        (3 * MB, 11 * MB), (2 * MB, 10 * MB), (5 * MB, 13 * MB),
+    ], ids=["inside", "gap", "end"])
+    def test_resumed_request_with_two_extents(self, done, position):
+        env, topo, mds, servers = build()
+        mds.create("/a", size=16 * MB)
+        fh = mds.open("/a")
+        extents = ((2 * MB, 2 * MB), (10 * MB, 3 * MB))
+        checkpoint = KernelCheckpoint(kernel="sum", bytes_done=done,
+                                      records=(("acc", "float", 1.5),))
+        request = self.active(env, fh, 2 * MB, 5 * MB, extents, checkpoint)
+        reply = IOReply.demoted(request, checkpoint, 4.0, streamed=64.0)
+        assert self.fields(reply) == {
+            "rid": 7, "completed": False, "result": None,
+            "checkpoint": checkpoint, "fh": fh,
+            "offset": position, "remaining": 5 * MB - done,
+            "bytes_streamed": 64.0, "served_active": False,
+            "finished_at": 4.0, "extents": extents,
+            "bytes_done": done, "output_file": None,
+        }
 
 
 class TestServiceLifecycle:

@@ -30,11 +30,7 @@ class StubHandler:
         request = self.server.outstanding.get(rid)
         if request is None:
             return False
-        self.server.finish(request, IOReply(
-            rid=rid, completed=False, fh=request.fh, offset=request.offset,
-            remaining=request.size, demoted=True, served_active=False,
-            finished_at=self.env.now,
-        ))
+        self.server.finish(request, IOReply.demoted(request, None, self.env.now))
         return True
 
     def abort(self, rid):
@@ -89,7 +85,7 @@ class TestAdmission:
         server.submit(active)
         assert active.reply.triggered and active.reply.ok
         reply = active.reply.value
-        assert reply.demoted and not reply.completed
+        assert not reply.completed
         assert active.rid not in server.outstanding
         assert server.metrics.get_counter("requests_shed") == 1
 
@@ -103,7 +99,7 @@ class TestAdmission:
         server.submit(normal)
         # The DOSAS shedding order: the queued active request was
         # demoted to free the slot, the normal read got in.
-        assert active.reply.triggered and active.reply.value.demoted
+        assert active.reply.triggered and not active.reply.value.completed
         assert normal.rid in server.outstanding
         assert server.metrics.get_counter("requests_shed_queued") == 1
         assert server.metrics.get_counter("requests_overloaded") == 0
