@@ -25,6 +25,7 @@ from repro.qos.budget import RetryBudget
 from repro.qos.tokens import TokenBucket
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf, AnyOf, Event
+from repro.sim.process import join_inline
 from repro.cluster.node import ComputeNode
 from repro.kernels.base import Kernel, KernelCheckpoint
 from repro.kernels.registry import KernelRegistry, default_registry
@@ -130,13 +131,21 @@ class RetryExhausted(PVFSError):
     """A per-server piece failed/timed out beyond ``max_retries``.
 
     ``last_cause`` carries the final underlying failure — the last
-    failed reply's exception, or None when the last attempt simply
-    timed out without an answer.
+    failed reply's exception, or None when no attempt got an answer.
+    ``reasons`` counts the piece's abandoned attempts by reason class
+    (``breaker-open``, ``timeout``, ``failed: <exception type>``) in
+    the order each class first occurred; the message ends with it.
     """
 
-    def __init__(self, message: str, last_cause: Optional[BaseException] = None) -> None:
+    def __init__(
+        self,
+        message: str,
+        last_cause: Optional[BaseException] = None,
+        reasons: Optional[Dict[str, int]] = None,
+    ) -> None:
         super().__init__(message)
         self.last_cause = last_cause
+        self.reasons: Dict[str, int] = dict(reasons or {})
 
 
 @dataclass
@@ -365,12 +374,25 @@ class ActiveStorageClient:
     def _gather_with_retry(
         self, requests: List[IORequest], retry: RetryPolicy
     ) -> Generator[Event, Any, List[IOReply]]:
-        """Drive every per-server piece through recovery (process)."""
+        """Drive every per-server piece through recovery (simulation generator).
+
+        A single piece recovers in the calling process, through
+        :func:`~repro.sim.process.join_inline`, which keeps the queue
+        entries of a spawned-and-joined child and so its event order.
+        Wider reads spawn one process per piece: their pieces recover
+        concurrently, and the first to give up must reach the caller
+        while the others still run.
+        """
         if self.deadline is not None:
             now = self.env.now
             for request in requests:
                 if request.deadline is None:
                     request.deadline = now + self.deadline
+        if len(requests) == 1:
+            reply = yield from join_inline(
+                self.env, self._recover_piece(requests[0], retry)
+            )
+            return [reply]
         procs = [
             self.env.process(self._recover_piece(r, retry)) for r in requests
         ]
@@ -387,7 +409,7 @@ class ActiveStorageClient:
     def _recover_piece(
         self, request: IORequest, retry: RetryPolicy
     ) -> Generator[Event, Any, IOReply]:
-        """Complete one per-server request under faults (process).
+        """Complete one per-server request under faults (simulation generator).
 
         Per attempt: consult the circuit breaker, pace the submission,
         submit, then wait for the reply or the timeout.  On timeout or
@@ -401,6 +423,8 @@ class ActiveStorageClient:
         checkpoint: Optional[KernelCheckpoint] = request.resume_from
         last_error: Optional[BaseException] = None
         gave_up = ""
+        # Abandoned attempts by reason class, built at the first one.
+        abandoned: Optional[Dict[str, int]] = None
         for attempt in range(retry.max_retries + 1):
             if attempt > 0:
                 if self.retry_budget is not None and not self.retry_budget.try_acquire(
@@ -448,7 +472,9 @@ class ActiveStorageClient:
                 # A normal read has nowhere else to get the data —
                 # fast-fail the attempt (no traffic) and back off.
                 self.stats["breaker_fast_fails"] += 1
-                self._log_retry(request, attempt, "breaker-open")
+                abandoned = self._abandon(
+                    request, attempt, "breaker-open", None, abandoned
+                )
                 continue
             if self.pace is not None:
                 wait = self.pace.reserve(request.size, self.env.now)
@@ -468,7 +494,9 @@ class ActiveStorageClient:
                     self.stats["retry_timeouts"] += 1
                 else:
                     self.stats["retry_failures"] += 1
-                self._log_retry(request, attempt, h_reason)
+                abandoned = self._abandon(
+                    request, attempt, h_reason, h_error, abandoned
+                )
                 continue
             self.pvfs.submit(request)
             # Preemptive defuse: if the reply fails *after* the timeout
@@ -505,12 +533,16 @@ class ActiveStorageClient:
             else:
                 self.stats["retry_failures"] += 1
             self.pvfs.server_for(request).cancel(request.rid)
-            self._log_retry(request, attempt, reason)
-        raise RetryExhausted(
+            abandoned = self._abandon(request, attempt, reason, last_error, abandoned)
+        message = (
             f"request {request.rid} ({request.operation or 'normal'}) gave up "
             + (f"({gave_up})" if gave_up
-               else f"after {retry.max_retries + 1} attempts"),
-            last_cause=last_error,
+               else f"after {retry.max_retries + 1} attempts")
+        )
+        if abandoned:
+            message += ": " + ", ".join(f"{n}× {kind}" for kind, n in abandoned.items())
+        raise RetryExhausted(
+            message, last_cause=last_error, reasons=abandoned
         ) from last_error
 
     def _attempt_hedged(
@@ -691,7 +723,29 @@ class ActiveStorageClient:
             )
         return IOReply.demoted(request, checkpoint, self.env.now)
 
-    def _log_retry(self, request: IORequest, attempt: int, reason: str) -> None:
+    def _abandon(
+        self,
+        request: IORequest,
+        attempt: int,
+        reason: str,
+        error: Optional[BaseException],
+        tally: Optional[Dict[str, int]],
+    ) -> Dict[str, int]:
+        """Log one abandoned attempt and count it by reason class.
+
+        The class is the reason, except that a failure counts under its
+        exception's type (``failed: ServerCrashed``), not its message.
+        ``tally`` is None until a piece abandons its first attempt, so
+        an attempt that succeeds builds nothing; the updated tally is
+        returned.
+        """
+        if reason.startswith("failed") and error is not None:
+            kind = f"failed: {type(error).__name__}"
+        else:
+            kind = reason
+        if tally is None:
+            tally = {}
+        tally[kind] = tally.get(kind, 0) + 1
         tr = self.env.tracer
         if tr.enabled:
             tr.instant(
@@ -712,6 +766,7 @@ class ActiveStorageClient:
                 "reason": reason,
             }
         )
+        return tally
 
     # -- demotion completion (paper: "manage the rest of the processing") ----------
     def _finish_demoted(

@@ -246,13 +246,19 @@ class Timer(Event):
 
 
 class Initialize(Event):
-    """Internal event that kicks off a newly created process."""
+    """Internal event that kicks off a generator: an URGENT zero-delay entry.
+
+    With a ``process`` it resumes that newly created
+    :class:`~repro.sim.process.Process`; without one it is the entry a
+    caller waits on before running a generator inline (see
+    :func:`~repro.sim.process.join_inline`).
+    """
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", process: "Process") -> None:
+    def __init__(self, env: "Environment", process: Optional["Process"] = None) -> None:
         self.env = env
-        self.callbacks = [process._resume]
+        self.callbacks = [process._resume] if process is not None else []
         self._ok = True
         self._value = None
         self._defused = False

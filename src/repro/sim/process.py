@@ -8,7 +8,10 @@ into it (``gen.throw(exc)``).
 
 Processes are themselves events: they trigger when the generator
 returns (value = the ``return`` value) or raises.  Other processes can
-therefore ``yield proc`` to join on completion.
+therefore ``yield proc`` to join on completion.  A caller that would
+spawn one child and join it at once can instead run the child's
+generator inline with :func:`join_inline`, which keeps the queue
+entries of the spawn and the join but builds no process.
 
 ``interrupt(cause)`` injects :class:`~repro.sim.exceptions.Interrupt`
 into the generator at its current suspension point.  This is the
@@ -21,7 +24,14 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional, TYPE_CHECKING, Type
 
-from repro.sim.events import Event, Initialize, PENDING, PRIORITY_NORMAL, PRIORITY_URGENT
+from repro.sim.events import (
+    Event,
+    Initialize,
+    PENDING,
+    PRIORITY_NORMAL,
+    PRIORITY_URGENT,
+    Timeout,
+)
 from repro.sim.exceptions import Interrupt, SimulationError, StopProcess
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,7 +51,10 @@ class Process(Event):
         #: The event this process is currently waiting on (None when
         #: it has not started or is being resumed).
         self._target: Optional[Event] = None
-        self.name: str = getattr(generator, "__name__", str(generator))
+        # ``str(generator)`` only when there is no name: it costs ten
+        # times the lookup, on every process start.
+        name = getattr(generator, "__name__", None)
+        self.name: str = name if name is not None else str(generator)
         Initialize(env, self)
 
     # -- introspection ------------------------------------------------------
@@ -152,3 +165,39 @@ class Process(Event):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "alive" if self.is_alive else "dead"
         return f"<Process {self.name} ({state}) at {id(self):#x}>"
+
+
+def join_inline(
+    env: "Environment", generator: Generator[Event, Any, Any]
+) -> Generator[Event, Any, Any]:
+    """Run ``generator`` in the calling process, as a joined child would run.
+
+    ``value = yield from join_inline(env, gen)`` makes the queue pushes
+    of spawning ``proc = env.process(gen)`` and waiting on
+    ``AllOf(env, [proc])``, at the same times, priorities and points
+    in the run, but builds neither: one URGENT zero-delay entry before
+    the generator's first step, where the child's :class:`Initialize`
+    stood; the generator's own yields, which the caller now waits on;
+    then, once it returns or raises, two NORMAL zero-delay entries,
+    where the finished child and the decided ``AllOf`` stood.  Ties at
+    one timestamp pop in push order, so the run's event order, and with
+    it every output, is the spawned child's.  Then the generator's
+    value is returned, or its exception re-raised.
+
+    The equivalence holds while nothing interrupts the caller: an
+    interrupt would land inside ``generator`` instead of in the wait on
+    the child.  A generator that yields a non-event likewise fails the
+    caller instead of the child.
+    """
+    yield Initialize(env)
+    try:
+        value = yield from generator
+    except StopProcess as stop:
+        value = stop.value
+    except Exception:
+        yield Timeout(env, 0)
+        yield Timeout(env, 0)
+        raise
+    yield Timeout(env, 0)
+    yield Timeout(env, 0)
+    return value

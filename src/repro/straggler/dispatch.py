@@ -29,7 +29,7 @@ it every placement decision — is deterministic per seed.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.qos.breaker import BreakerBoard
 from repro.straggler.config import StragglerConfig
@@ -72,6 +72,7 @@ class StragglerDispatcher:
         """
         if not candidates:
             raise ValueError("need at least one candidate server")
+        board = self.board
         eligible = [
             c
             for c in candidates
@@ -84,18 +85,26 @@ class StragglerDispatcher:
         # a full request behind.  Final ties break by *candidate
         # position* (primary first), so a cold board routes exactly
         # like the classic layout path instead of herding onto
-        # low-numbered servers.
-        pos = {c: k for k, c in enumerate(candidates)}
-
-        def key(c: int) -> Tuple[int, float, int]:
-            return (self.board.inflight_of(c), self.board.score(c), pos[c])
-
-        ranked = sorted(eligible, key=key)
+        # low-numbered servers.  Candidates are distinct servers, so
+        # the position decides every tie and the server never compares.
+        inflight = board.inflight
+        trackers = board.trackers
+        keys = [
+            (
+                inflight.get(c, 0),
+                trackers[c].ewma if c in trackers else 0.0,
+                candidates.index(c),
+                c,
+            )
+            for c in eligible
+        ]
+        keys.sort()
+        ranked = [key[3] for key in keys]
         if len(ranked) <= 1:
             return ranked
         if deadline is not None:
             slack = deadline - now
-            if slack < self.config.deadline_slack_factor * self.board.hedge_delay():
+            if slack < self.config.deadline_slack_factor * board.hedge_delay():
                 self.stats["deadline_overrides"] += 1
                 return ranked
         primary = candidates[0]
@@ -107,15 +116,16 @@ class StragglerDispatcher:
         # alternative takes over when it is strictly less loaded, or
         # equally loaded with a clear (``reroute_ratio``) latency edge
         # — plain argmin flips on noise and un-balances the NICs.
+        # ``rng.choice`` picks by index, so ``alts`` keeps candidate
+        # order, not rank order.
         alts = [c for c in eligible if c != primary]
         alt = alts[0] if len(alts) == 1 else self.rng.choice(alts)
-        alt_load = self.board.inflight_of(alt)
-        primary_load = self.board.inflight_of(primary)
+        alt_load = inflight.get(alt, 0)
+        primary_load = inflight.get(primary, 0)
         lead = primary
         if alt_load < primary_load or (
             alt_load == primary_load
-            and self.board.score(alt) * self.config.reroute_ratio
-            < self.board.score(primary)
+            and board.score(alt) * self.config.reroute_ratio < board.score(primary)
         ):
             lead = alt
             self.stats["p2c_picks"] += 1

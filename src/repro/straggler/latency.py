@@ -17,7 +17,7 @@ Tavakoli/Dai/Chen (arXiv:1805.06156).
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.obs.metrics import WindowedHistogram
 from repro.straggler.config import StragglerConfig
@@ -48,7 +48,7 @@ class LatencyTracker:
 class LatencyBoard:
     """Per-server latency trackers shared across a run's clients."""
 
-    __slots__ = ("config", "trackers", "overall", "inflight")
+    __slots__ = ("config", "trackers", "overall", "inflight", "_hedge_delay")
 
     def __init__(self, config: StragglerConfig) -> None:
         self.config = config
@@ -62,6 +62,9 @@ class LatencyBoard:
         #: routing key (least-outstanding-requests, latency as the
         #: tie-break).
         self.inflight: Dict[int, int] = {}
+        #: :meth:`hedge_delay` until the next :meth:`observe` (None:
+        #: not computed since).
+        self._hedge_delay: Optional[float] = None
 
     def tracker(self, server: int) -> LatencyTracker:
         t = self.trackers.get(server)
@@ -75,6 +78,7 @@ class LatencyBoard:
             raise ValueError(f"negative latency {latency}")
         self.tracker(server).observe(latency)
         self.overall.observe(latency)
+        self._hedge_delay = None
 
     def score(self, server: int) -> float:
         """EWMA latency for ordering candidates (lower is better)."""
@@ -102,11 +106,17 @@ class LatencyBoard:
         The ``hedge_quantile`` (default p95) of recent latencies across
         all servers, floored at ``hedge_delay_floor``; until
         ``min_samples`` observations exist the floor stands alone.
+        Only :meth:`observe` changes it, so the value is kept until the
+        next observation instead of re-sorting the window on each read.
         """
-        cfg = self.config
-        if len(self.overall) < cfg.min_samples:
-            return cfg.hedge_delay_floor
-        return max(cfg.hedge_delay_floor, self.overall.percentile(cfg.hedge_quantile))
+        delay = self._hedge_delay
+        if delay is None:
+            cfg = self.config
+            delay = cfg.hedge_delay_floor
+            if len(self.overall) >= cfg.min_samples:
+                delay = max(delay, self.overall.percentile(cfg.hedge_quantile))
+            self._hedge_delay = delay
+        return delay
 
     def snapshot(self) -> Dict[str, Any]:
         """Deterministic summary for reports."""

@@ -1,10 +1,17 @@
-"""RetryPolicy knob validation and the seeded full-jitter backoff."""
+"""RetryPolicy knob validation, the seeded full-jitter backoff, and
+what ``RetryExhausted`` says about the attempts it gave up on."""
 
 import random
 
 import pytest
 
-from repro.core.asc import RetryExhausted, RetryPolicy
+from repro.cluster import ClusterTopology, discfarm_config
+from repro.cluster.config import MB
+from repro.core.asc import ActiveStorageClient, RetryExhausted, RetryPolicy
+from repro.pvfs import IOServer, MetadataServer, PVFSClient
+from repro.pvfs.server import ServerUnavailable
+from repro.qos.breaker import BreakerBoard
+from repro.sim import Environment
 
 
 class TestValidation:
@@ -63,3 +70,71 @@ class TestRetryExhausted:
 
     def test_cause_defaults_to_none(self):
         assert RetryExhausted("gave up").last_cause is None
+
+    def test_reasons_default_to_empty(self):
+        assert RetryExhausted("gave up").reasons == {}
+
+
+def one_server_client(env, breakers=None):
+    """A client reading a 4 MB file held by one I/O server."""
+    config = discfarm_config(n_storage=1, n_compute=1)
+    topo = ClusterTopology(env, config)
+    mds = MetadataServer(1, 4 * MB)
+    mds.create("/f", size=4 * MB)
+    node = topo.storage_nodes[0]
+    server = IOServer(env, node, topo.link_for(node), mds, config)
+    client = topo.compute_node(0)
+    asc = ActiveStorageClient(env, client, PVFSClient(env, client, [server], mds),
+                              breakers=breakers)
+    return asc, server, mds.open("/f")
+
+
+def exhausted(env, asc, fh, retry):
+    """The ``RetryExhausted`` a normal read of ``fh`` ends in."""
+    def app():
+        with pytest.raises(RetryExhausted) as info:
+            yield from asc.read(fh, retry=retry)
+        return info.value
+
+    return env.run(until=env.process(app()))
+
+
+class TestExhaustionReasons:
+    def test_breaker_fast_fails_are_named(self):
+        # Every attempt is refused by an open breaker, so no attempt
+        # has a cause: the tally is the only account of what happened.
+        env = Environment()
+        breakers = BreakerBoard(threshold=1, cooldown=100.0)
+        breakers.for_server(0).on_failure(0.0)
+        asc, server, fh = one_server_client(env, breakers)
+        retry = RetryPolicy(max_retries=8, backoff_base=0.01, backoff_factor=1.0,
+                            backoff_cap=0.01)
+        err = exhausted(env, asc, fh, retry)
+        assert err.last_cause is None
+        assert err.reasons == {"breaker-open": 9}
+        assert str(err).endswith("gave up after 9 attempts: 9× breaker-open")
+        assert server.metrics.get_counter("requests_received") == 0
+
+    def test_classes_count_in_order_of_first_occurrence(self):
+        # The first attempt times out; the server then crashes, so the
+        # re-issues fail on intake.  A failure counts by its type.
+        env = Environment()
+        asc, server, fh = one_server_client(env)
+
+        def crash():
+            yield env.timeout(0.002)
+            server.crash()
+
+        env.process(crash())
+        retry = RetryPolicy(timeout=0.001, max_retries=2, backoff_base=0.01,
+                            backoff_factor=1.0, backoff_cap=0.01)
+        err = exhausted(env, asc, fh, retry)
+        assert isinstance(err.last_cause, ServerUnavailable)
+        assert err.reasons == {"timeout": 1, "failed: ServerUnavailable": 2}
+        assert str(err).endswith(
+            "gave up after 3 attempts: 1× timeout, 2× failed: ServerUnavailable"
+        )
+        # The per-attempt log keeps each failure's own message.
+        assert [e["reason"][:20] for e in asc.retry_log] == [
+            "timeout", "failed: server sn0 i", "failed: server sn0 i",
+        ]

@@ -1,4 +1,4 @@
-"""Engine-work ratchet on one fixed paper point.
+"""Engine-work ratchet on one fixed paper point and three scenarios.
 
 DOSAS, gaussian2d, 1 GB per request, 8 requests, one storage node,
 jitter off, run twice: without a retry policy, where each demoted
@@ -11,7 +11,17 @@ count, lower its budget to the new value in the same change; never
 raise a budget to admit a regression.  The Contention Estimator's
 probes read the I/O queue's counters and never scan
 ``IOServer.outstanding``.
+
+Three library scenarios, one seed each, pin the engine's order
+itself: the ``(when, priority)`` sequence of every scheduler push, as
+a count and a sha256.  Ties at one timestamp pop in push order, so a
+change that keeps every push but moves one (say, a child process's
+start or finish entry) reorders the run even where no test of its
+outputs notices.  Their ``Process`` counts are pinned exactly, as
+fixed points of the same ratchet.
 """
+
+import hashlib
 
 import pytest
 
@@ -20,6 +30,7 @@ from repro.cluster.config import MB
 from repro.core import RetryPolicy, Scheme, WorkloadSpec, run_scheme
 from repro.pvfs import IOKind, IORequest, IOServer, MetadataServer
 from repro.pvfs.requests import next_request_id
+from repro.scenario import get_scenario, run_scenario
 from repro.sim import Environment
 from repro.sim.process import Process
 from repro.sim.scheduler import HeapScheduler
@@ -45,10 +56,28 @@ RETRY = RetryPolicy(timeout=60)
 RETRY_SERVER_REQUESTS = 2056  # 8 active requests + 8 × 256 stripe attempts
 RETRY_MAKESPAN = 82.22372881356193
 RETRY_PUSH_BUDGET = 18853
-RETRY_PROCESS_BUDGET = 2066  # one recovery process per attempt, plus 10
+#: 2066 while each single-piece gather spawned one recovery process.
+RETRY_PROCESS_BUDGET = 10
 #: Iterations over ``IOServer.outstanding`` and the records they visit
 #: (329 and 2222 while every probe scanned the queue).
 QUEUE_SCAN_BUDGET = 0
+
+#: One seeded ``run_scenario`` (protected plus baseline, DOSAS) of each
+#: scenario: (pushes, sha256 of the push sequence, processes).  The
+#: processes were 410, 250 and 440 while each single-piece recovered
+#: read spawned a process; running it inline kept every push.
+SCENARIO_SEED = 1
+SCENARIOS = {
+    "kitchen-sink-chaos": (
+        4628, "5b1cfcfb76e2e70169c6dc11de1e139bd715ff02adcf4b90b5995f8a71b26efc", 50,
+    ),
+    "straggler-degrade": (
+        2366, "df650b3763a16c09c73bf9dd392d78ff7405161ba8f6d98a979956c01a78d07b", 50,
+    ),
+    "noisy-neighbor-queue": (
+        3890, "58f57cd00652a4af2da9530eea2622bc3b0a27854ae0a0256b879e38de4d17fc", 116,
+    ),
+}
 
 
 class ScanCountingDict(dict):
@@ -79,14 +108,19 @@ class ScanCountingDict(dict):
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Count scheduler pushes, Process constructions and queue scans."""
-    counts = {"pushes": 0, "processes": 0, "queue_scans": 0, "queue_records": 0}
+    """Count scheduler pushes, Process constructions and queue scans.
+
+    ``counts["sequence"]`` hashes every push's ``(when, priority)``.
+    """
+    counts = {"pushes": 0, "processes": 0, "queue_scans": 0, "queue_records": 0,
+              "sequence": hashlib.sha256()}
     push = HeapScheduler.push
     init = Process.__init__
     server_init = IOServer.__init__
 
     def counting_push(self, when, prio, event):
         counts["pushes"] += 1
+        counts["sequence"].update(f"{when!r} {prio}\n".encode())
         push(self, when, prio, event)
 
     def counting_init(self, env, generator):
@@ -144,3 +178,12 @@ def test_bare_normal_read_spawns_no_process(counters):
     assert request.reply.value.completed
     assert server.link.bytes_transferred == 8 * MB
     assert counters["processes"] == 0
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_push_sequence_is_a_fixed_point(counters, name):
+    pushes, sequence, processes = SCENARIOS[name]
+    run_scenario(get_scenario(name), seeds=(SCENARIO_SEED,))
+    assert counters["pushes"] == pushes
+    assert counters["sequence"].hexdigest() == sequence
+    assert counters["processes"] == processes
