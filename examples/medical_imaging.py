@@ -39,6 +39,9 @@ def run_shift(name: str, n_scans: int, scan_bytes: int, verify: bool) -> None:
         request_bytes=scan_bytes,
         execute_kernels=verify,
         image_width=512 if verify else 1024,
+        # Seed 0 makes scan i the data of ``SyntheticData(i)``, the
+        # reference the verification recomputes.
+        seed=0,
     )
     results = {scheme: run_scheme(scheme, spec) for scheme in Scheme}
     for scheme, r in results.items():

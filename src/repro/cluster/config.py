@@ -37,9 +37,6 @@ class NodeSpec:
         calibrated processing rate.  1.0 means the paper's PowerEdge
         R415 core ("the storage node and the compute node have the same
         processing capability in our evaluations").
-    memory_bytes:
-        RAM available for kernel buffers; drives the memory-utilisation
-        component of the Contention Estimator's probe.
     disk_bandwidth:
         Sequential read bandwidth of local storage.  The paper's model
         folds disk time into the constant kernel/network rates, so the
@@ -49,7 +46,6 @@ class NodeSpec:
 
     cores: int = 2
     core_speed: float = 1.0
-    memory_bytes: int = 8 * GB
     disk_bandwidth: float = 500 * MB
 
     def __post_init__(self) -> None:
@@ -57,8 +53,6 @@ class NodeSpec:
             raise ValueError(f"cores must be positive, got {self.cores}")
         if self.core_speed <= 0:
             raise ValueError(f"core_speed must be positive, got {self.core_speed}")
-        if self.memory_bytes <= 0:
-            raise ValueError("memory_bytes must be positive")
         if self.disk_bandwidth <= 0:
             raise ValueError("disk_bandwidth must be positive")
 

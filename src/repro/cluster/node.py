@@ -1,4 +1,4 @@
-"""Node models: CPU cores, memory, disks.
+"""Node models: CPU cores and disks.
 
 A storage node in the paper owns two cores shared by all offloaded
 processing kernels; compute nodes run client-side kernels on their own
@@ -15,13 +15,12 @@ from typing import Generator, Optional
 from repro.sim.engine import Environment
 from repro.sim.events import Timeout
 from repro.sim.exceptions import Failure, Interrupt
-from repro.sim.monitor import TimeWeightedStat
-from repro.sim.resources import Container, PriorityResource
+from repro.sim.resources import PriorityResource
 from repro.cluster.config import NodeSpec
 
 
 class CpuCores:
-    """A pool of CPU cores with utilisation accounting.
+    """A pool of CPU cores.
 
     Kernels call :meth:`compute` inside their own process:
 
@@ -48,7 +47,6 @@ class CpuCores:
         self.spec = spec
         self.name = name
         self._pool = PriorityResource(env, capacity=spec.cores, name=name)
-        self.busy = TimeWeightedStat(env.now, 0.0)
         #: Straggler model: fraction of nominal per-core speed currently
         #: delivered, in (0, 1].  Applies to computations that *start*
         #: while derated; in-flight work keeps its original rate (the
@@ -74,10 +72,6 @@ class CpuCores:
     def utilization(self) -> float:
         """Instantaneous fraction of busy cores in [0, 1]."""
         return self._pool.count / self._pool.capacity
-
-    def mean_utilization(self) -> float:
-        """Time-weighted mean utilisation since creation."""
-        return self.busy.mean(self.env.now) / self._pool.capacity
 
     @property
     def derate_factor(self) -> float:
@@ -130,7 +124,6 @@ class CpuCores:
             req.cancel()
             raise _wrap_interrupt(intr, already_done) from None
 
-        self.busy.update(self.env.now, float(self._pool.count))
         started = self.env.now
         speed = self.effective_rate(rate)
         try:
@@ -139,11 +132,9 @@ class CpuCores:
             progressed = (self.env.now - started) * speed
             done = min(nbytes, already_done + progressed)
             req.cancel()
-            self.busy.update(self.env.now, float(self._pool.count))
             raise _wrap_interrupt(intr, done) from None
 
         req.cancel()
-        self.busy.update(self.env.now, float(self._pool.count))
         return nbytes
 
 
@@ -171,18 +162,13 @@ def _wrap_interrupt(intr: Interrupt, bytes_done: float) -> ComputeInterrupted:
 
 
 class Node:
-    """Base node: identity, cores, memory."""
+    """Base node: identity and cores."""
 
     def __init__(self, env: Environment, name: str, spec: NodeSpec) -> None:
         self.env = env
         self.name = name
         self.spec = spec
         self.cpu = CpuCores(env, spec, name=f"{name}.cpu")
-        self.memory = Container(env, capacity=float(spec.memory_bytes), init=0.0)
-
-    def memory_utilization(self) -> float:
-        """Fraction of RAM currently claimed by kernel buffers."""
-        return self.memory.level / self.memory.capacity
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name} cores={self.spec.cores}>"

@@ -4,12 +4,16 @@ Paper Sec. III-A: "A Contention Estimator (CE) periodically probes the
 system state, including CPU utilization, memory utilization and I/O
 queue."  :class:`SystemProbe` is the snapshot; :class:`NodeProber`
 produces one from a storage node plus its attached I/O queue.
+
+The snapshot carries what the estimator reads: CPU utilisation, the
+core derate and the queue (n, k, D, D_A).  Memory is not modelled —
+no modelled component allocates any, and paper Eq. 1–11 do not use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from repro.cluster.node import StorageNode
 
@@ -24,8 +28,6 @@ class SystemProbe:
         Simulated time of the probe.
     cpu_utilization:
         Fraction of the node's cores busy, in [0, 1].
-    memory_utilization:
-        Fraction of RAM claimed, in [0, 1].
     io_queue_length:
         n — total I/O requests queued (paper Table II notation).
     active_queue_length:
@@ -48,7 +50,6 @@ class SystemProbe:
 
     time: float
     cpu_utilization: float
-    memory_utilization: float
     io_queue_length: int
     active_queue_length: int
     queued_bytes: float
@@ -60,10 +61,6 @@ class SystemProbe:
     def __post_init__(self) -> None:
         if not 0 <= self.cpu_utilization <= 1 + 1e-9:
             raise ValueError(f"cpu_utilization out of range: {self.cpu_utilization}")
-        if not 0 <= self.memory_utilization <= 1 + 1e-9:
-            raise ValueError(
-                f"memory_utilization out of range: {self.memory_utilization}"
-            )
         if self.io_queue_length < 0 or self.active_queue_length < 0:
             raise ValueError("queue lengths must be non-negative")
         if self.active_queue_length > self.io_queue_length:
@@ -100,8 +97,8 @@ class NodeProber:
     ) -> None:
         self.node = node
         self.queue_inspector = queue_inspector or (lambda: (0, 0, 0.0, 0.0))
-        #: Retained history of probes (most recent last).
-        self.history: List[SystemProbe] = []
+        #: The most recent live snapshot (the probe-loss replay source).
+        self._last: Optional[SystemProbe] = None
         #: Until this simulated time, live probes are lost (fault
         #: injection): :meth:`probe` replays the last snapshot marked
         #: ``stale`` instead of sampling the node.
@@ -117,22 +114,21 @@ class NodeProber:
         return self.node.env.now < self._suppressed_until
 
     def probe(self) -> SystemProbe:
-        """Take and record a snapshot now.
+        """Take and keep a snapshot now.
 
         While suppressed, returns a ``stale`` replay of the last real
         snapshot (or an empty stale snapshot if none exists yet) and
-        does *not* append to :attr:`history` — the estimator sees old
-        state exactly as it would if the probe message were dropped.
+        keeps the last real one — the estimator sees old state exactly
+        as it would if the probe message were dropped.
         """
         tr = self.node.env.tracer
         if self.suppressed:
-            if self.history:
-                snap = replace(self.history[-1], stale=True)
+            if self._last is not None:
+                snap = replace(self._last, stale=True)
             else:
                 snap = SystemProbe(
                     time=self.node.env.now,
                     cpu_utilization=0.0,
-                    memory_utilization=0.0,
                     io_queue_length=0,
                     active_queue_length=0,
                     queued_bytes=0.0,
@@ -153,7 +149,6 @@ class NodeProber:
         snap = SystemProbe(
             time=self.node.env.now,
             cpu_utilization=min(1.0, self.node.cpu.utilization()),
-            memory_utilization=min(1.0, self.node.memory_utilization()),
             io_queue_length=int(n),
             active_queue_length=int(k),
             queued_bytes=float(total_bytes),
@@ -161,7 +156,7 @@ class NodeProber:
             running_kernels=self.node.cpu.busy_cores,
             cpu_derate=self.node.cpu.derate_factor,
         )
-        self.history.append(snap)
+        self._last = snap
         if tr.enabled:
             tr.instant(
                 self.node.env.now,
@@ -172,11 +167,10 @@ class NodeProber:
                 D=snap.queued_bytes,
                 D_A=snap.active_bytes,
                 cpu=snap.cpu_utilization,
-                mem=snap.memory_utilization,
                 derate=snap.cpu_derate,
             )
         return snap
 
     def latest(self) -> Optional[SystemProbe]:
         """Most recent probe, or None before the first probe."""
-        return self.history[-1] if self.history else None
+        return self._last

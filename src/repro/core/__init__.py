@@ -10,7 +10,7 @@ Components (paper Sec. III):
     matrix enumeration (Eq. 9–11), an exact branch-and-bound, an exact
     O(k²) threshold solver, and a naive greedy baseline.
 ``estimator``
-    The Contention Estimator: probes CPU/memory/queue state and emits
+    The Contention Estimator: probes CPU/derate/queue state and emits
     scheduling policies.  Static estimators (always-offload /
     never-offload) express the AS and TS baselines in the same
     machinery.

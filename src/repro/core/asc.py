@@ -148,6 +148,17 @@ class RetryExhausted(PVFSError):
         self.reasons: Dict[str, int] = dict(reasons or {})
 
 
+class _WideRead:
+    """State the pieces of one multi-piece recovered read share."""
+
+    __slots__ = ("abandoned",)
+
+    def __init__(self) -> None:
+        #: Set once one piece gave up and the read failed: nobody
+        #: waits for the other pieces, so they stop re-issuing.
+        self.abandoned = False
+
+
 @dataclass
 class _Registration:
     """The ASC's local record of one active I/O (paper Sec. III-B)."""
@@ -238,7 +249,6 @@ class ActiveStorageClient:
         self.stats: Dict[str, int] = {
             "retries": 0,
             "retry_timeouts": 0,
-            "retry_failures": 0,
             "requests_recovered": 0,
             "retries_denied_budget": 0,
             "breaker_fast_fails": 0,
@@ -339,13 +349,15 @@ class ActiveStorageClient:
         size: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> Generator[Event, Any, List[IOReply]]:
-        """Plain read passthrough (simulation process).
+        """Plain read passthrough: returns the generator gathering its replies.
 
         With a :class:`RetryPolicy`, per-server pieces recover from
-        crashes and hangs the same way active reads do.
+        crashes and hangs the same way active reads do.  A plain
+        function, like :meth:`_issue`, so a caller's ``yield from``
+        runs the gather with no forwarding frame in between.
         """
         size = fh.size - offset if size is None else size
-        return (yield from self._issue(fh, offset, size, IOKind.NORMAL, None, None, retry))
+        return self._issue(fh, offset, size, IOKind.NORMAL, None, None, retry)
 
     def _issue(
         self,
@@ -381,7 +393,8 @@ class ActiveStorageClient:
         entries of a spawned-and-joined child and so its event order.
         Wider reads spawn one process per piece: their pieces recover
         concurrently, and the first to give up must reach the caller
-        while the others still run.
+        while the others still run.  Those then abandon the read at
+        their next re-issue; attempts already in flight drain.
         """
         if self.deadline is not None:
             now = self.env.now
@@ -393,21 +406,28 @@ class ActiveStorageClient:
                 self.env, self._recover_piece(requests[0], retry)
             )
             return [reply]
+        read = _WideRead()
         procs = [
-            self.env.process(self._recover_piece(r, retry)) for r in requests
+            self.env.process(self._recover_piece(r, retry, read))
+            for r in requests
         ]
         try:
             yield AllOf(self.env, procs)
         except PVFSError:
-            # One piece gave up: the others keep running — defuse them
-            # so a second late RetryExhausted cannot crash the engine.
+            # One piece gave up: the others stop before their next
+            # re-issue — defuse them so a second late RetryExhausted
+            # cannot crash the engine.
+            read.abandoned = True
             for proc in procs:
                 proc.defuse()
             raise
         return [p.value for p in procs]
 
     def _recover_piece(
-        self, request: IORequest, retry: RetryPolicy
+        self,
+        request: IORequest,
+        retry: RetryPolicy,
+        read: Optional[_WideRead] = None,
     ) -> Generator[Event, Any, IOReply]:
         """Complete one per-server request under faults (simulation generator).
 
@@ -418,7 +438,8 @@ class ActiveStorageClient:
         re-issue carrying the newest checkpoint — bytes a previous
         attempt completed are never re-read.  Re-issues additionally
         need a token from the global retry budget, and an expired
-        per-request deadline ends recovery immediately.
+        per-request deadline ends recovery immediately, as does the
+        failure of the wide ``read`` the piece belongs to.
         """
         checkpoint: Optional[KernelCheckpoint] = request.resume_from
         last_error: Optional[BaseException] = None
@@ -427,6 +448,9 @@ class ActiveStorageClient:
         abandoned: Optional[Dict[str, int]] = None
         for attempt in range(retry.max_retries + 1):
             if attempt > 0:
+                if read is not None and read.abandoned:
+                    gave_up = "read abandoned"
+                    break
                 if self.retry_budget is not None and not self.retry_budget.try_acquire(
                     self.env.now
                 ):
@@ -435,6 +459,9 @@ class ActiveStorageClient:
                     break
                 self.stats["retries"] += 1
                 yield self.env.timeout(retry.backoff(attempt - 1, rng=self.rng))
+                if read is not None and read.abandoned:
+                    gave_up = "read abandoned"
+                    break
                 request = self.pvfs.reissue(request, resume_from=checkpoint)
             if request.deadline is not None and self.env.now >= request.deadline:
                 self.stats["deadline_failures"] += 1
@@ -492,8 +519,6 @@ class ActiveStorageClient:
                     return hedged_reply
                 if h_reason == "timeout":
                     self.stats["retry_timeouts"] += 1
-                else:
-                    self.stats["retry_failures"] += 1
                 abandoned = self._abandon(
                     request, attempt, h_reason, h_error, abandoned
                 )
@@ -530,8 +555,6 @@ class ActiveStorageClient:
             if reason is None:
                 reason = "timeout"
                 self.stats["retry_timeouts"] += 1
-            else:
-                self.stats["retry_failures"] += 1
             self.pvfs.server_for(request).cancel(request.rid)
             abandoned = self._abandon(request, attempt, reason, last_error, abandoned)
         message = (

@@ -7,7 +7,10 @@ for all active I/O requests in current I/O queue by using the probed
 system information and the scheduling algorithm.  It then sends its
 decision to R component for execution."
 
-``DOSASEstimator`` is that component.  ``AlwaysOffloadEstimator`` and
+``DOSASEstimator`` is that component.  It solves over the queued and
+running active requests and reads the probe's CPU utilisation, core
+derate and queue (n, k, D, D_A); memory is not modelled (see
+:mod:`repro.cluster.probe`).  ``AlwaysOffloadEstimator`` and
 ``NeverOffloadEstimator`` express the AS and TS baselines through the
 same interface so every scheme runs on identical machinery (only the
 policy generator differs).
@@ -80,7 +83,7 @@ class DOSASEstimator(ContentionEstimator):
     Parameters
     ----------
     prober:
-        Probe source for the storage node (CPU, memory, I/O queue).
+        Probe source for the storage node (CPU, core derate, I/O queue).
     kernel_models:
         op name → :class:`KernelCostModel`.
     compute_capability:
@@ -150,8 +153,9 @@ class DOSASEstimator(ContentionEstimator):
         if stale_probe_timeout is not None and stale_probe_timeout <= 0:
             raise ValueError("stale_probe_timeout must be positive")
         self.stale_probe_timeout = stale_probe_timeout
-        #: Policies generated, for tracing/accuracy evaluation.
-        self.policy_log: List[SchedulingPolicy] = []
+        #: Objective value of every policy generated, in order; the
+        #: run summary reports them as ``policy_values``.
+        self.objective_values: List[float] = []
 
     # -- capability estimation -------------------------------------------------
     def storage_capability(self, op: str, probe: SystemProbe) -> float:
@@ -211,13 +215,13 @@ class DOSASEstimator(ContentionEstimator):
             for req in everything:
                 policy.decisions[req.rid] = Decision.NORMAL
             policy.interrupt_running = bool(running)
-            self.policy_log.append(policy)
+            self.objective_values.append(policy.objective_value)
             return policy
         if not everything:
             policy = SchedulingPolicy(
                 generated_at=probe.time, default=Decision.ACTIVE, probe=probe
             )
-            self.policy_log.append(policy)
+            self.objective_values.append(policy.objective_value)
             return policy
 
         # Mixed-operation queues are solved *jointly*: all offloaded
@@ -286,7 +290,7 @@ class DOSASEstimator(ContentionEstimator):
         policy.default = (
             Decision.NORMAL if policy.n_demoted > policy.n_active else Decision.ACTIVE
         )
-        self.policy_log.append(policy)
+        self.objective_values.append(policy.objective_value)
         return policy
 
     def _node_unreachable(self, probe: SystemProbe) -> bool:

@@ -44,7 +44,6 @@ class SmoothedDOSASEstimator(DOSASEstimator):
             raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
         self.alpha = float(alpha)
         self._smoothed_cpu: Optional[float] = None
-        self._smoothed_mem: Optional[float] = None
 
     def _smooth(self, previous: Optional[float], sample: float) -> float:
         if previous is None:
@@ -54,9 +53,6 @@ class SmoothedDOSASEstimator(DOSASEstimator):
     def storage_capability(self, op: str, probe: SystemProbe) -> float:
         cpu = self._smooth(self._smoothed_cpu, probe.cpu_utilization)
         self._smoothed_cpu = cpu
-        self._smoothed_mem = self._smooth(
-            self._smoothed_mem, probe.memory_utilization
-        )
         model = self._model(op)
         rate = model.rate
         if self.degrade_by_cpu:
@@ -124,5 +120,4 @@ class HysteresisDOSASEstimator(DOSASEstimator):
             final.decisions.get(r.rid) is Decision.NORMAL for r in running
         )
         final.interrupt_running = running_demoted
-        self.policy_log[-1] = final
         return final

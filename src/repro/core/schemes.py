@@ -707,7 +707,7 @@ def summarise(system: System, outcomes: List[RequestOutcome]) -> Dict[str, Any]:
         interrupted += stats["interrupted"]
         est = ass.estimator
         if isinstance(est, DOSASEstimator):
-            policy_values.extend(p.objective_value for p in est.policy_log)
+            policy_values.extend(est.objective_values)
 
     retry_events = sorted(
         (e for a in ascs for e in a.retry_log),

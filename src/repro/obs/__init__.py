@@ -15,7 +15,6 @@ from repro.obs.tracer import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     TimeWeightedGauge,
@@ -40,7 +39,6 @@ __all__ = [
     "PHASES",
     "merge_events",
     "Counter",
-    "Gauge",
     "TimeWeightedGauge",
     "Histogram",
     "WindowedHistogram",

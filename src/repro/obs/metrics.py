@@ -1,8 +1,8 @@
-"""Typed metrics: counters, gauges, time-weighted gauges, histograms.
+"""Typed metrics: counters, time-weighted gauges, histograms.
 
 Hot components keep named, typed instruments in a
 :class:`MetricsRegistry`; ``get_counter`` reads a counter by name, and
-the registry exports a deterministic JSON snapshot for run artefacts.
+``summary`` flattens every instrument for the run result.
 
 Histogram percentiles reuse :func:`repro.sim.monitor.percentile`, the
 dependency-free linear-interpolation implementation.
@@ -16,7 +16,6 @@ from repro.sim.monitor import TimeWeightedStat, percentile
 
 __all__ = [
     "Counter",
-    "Gauge",
     "TimeWeightedGauge",
     "Histogram",
     "WindowedHistogram",
@@ -36,22 +35,6 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (by {amount})")
-        self.value += amount
-
-
-class Gauge:
-    """A value that can move in either direction."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, initial: float = 0.0) -> None:
-        self.name = name
-        self.value = initial
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, amount: float) -> None:
         self.value += amount
 
 
@@ -190,14 +173,12 @@ class MetricsRegistry:
     def __init__(self, now: Optional[Callable[[], float]] = None) -> None:
         self._now = now or (lambda: 0.0)
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._time_gauges: Dict[str, TimeWeightedGauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     def _check_free(self, name: str, within: Dict[str, Any]) -> None:
         for kind, table in (
             ("counter", self._counters),
-            ("gauge", self._gauges),
             ("time_gauge", self._time_gauges),
             ("histogram", self._histograms),
         ):
@@ -212,13 +193,6 @@ class MetricsRegistry:
             self._check_free(name, self._counters)
             c = self._counters[name] = Counter(name)
         return c
-
-    def gauge(self, name: str, initial: float = 0.0) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            self._check_free(name, self._gauges)
-            g = self._gauges[name] = Gauge(name, initial)
-        return g
 
     def time_gauge(self, name: str, initial: float = 0.0) -> TimeWeightedGauge:
         g = self._time_gauges.get(name)
@@ -247,30 +221,11 @@ class MetricsRegistry:
 
     # -- export --------------------------------------------------------
 
-    def to_json(self) -> Dict[str, Any]:
-        """Deterministic snapshot: keys sorted, plain JSON types only."""
-        return {
-            "counters": {n: self._counters[n].value for n in sorted(self._counters)},
-            "gauges": {n: self._gauges[n].value for n in sorted(self._gauges)},
-            "time_gauges": {
-                n: {
-                    "current": self._time_gauges[n].value,
-                    "mean": self._time_gauges[n].mean(),
-                }
-                for n in sorted(self._time_gauges)
-            },
-            "histograms": {
-                n: self._histograms[n].snapshot() for n in sorted(self._histograms)
-            },
-        }
-
     def summary(self) -> Dict[str, Any]:
         """Flat view: counters plus derived stats."""
         out: Dict[str, Any] = {
             n: self._counters[n].value for n in sorted(self._counters)
         }
-        for n in sorted(self._gauges):
-            out[n] = self._gauges[n].value
         for n in sorted(self._time_gauges):
             g = self._time_gauges[n]
             out[f"{n}.mean"] = g.mean()

@@ -72,7 +72,6 @@ SPAN_KINDS = frozenset(
         "fault",            # instant: fault injector applied an event
         "server-crash",     # instant
         "server-restart",   # instant
-        "event",            # instant: engine processed an event (trace_engine)
     }
 )
 
@@ -128,20 +127,17 @@ class SpanEvent:
 class Tracer:
     """Records span events in emission order.
 
-    One tracer per simulation run.  ``trace_engine`` additionally
-    records every engine event processed — high volume, off by
-    default even when tracing is on.
+    One tracer per simulation run.
     """
 
-    __slots__ = ("events", "trace_engine")
+    __slots__ = ("events",)
 
     #: Class-level so ``tracer.enabled`` costs no per-instance storage
     #: and the null tracer can override it.
     enabled: ClassVar[bool] = True
 
-    def __init__(self, trace_engine: bool = False) -> None:
+    def __init__(self) -> None:
         self.events: List[SpanEvent] = []
-        self.trace_engine = trace_engine and self.enabled
 
     def __len__(self) -> int:
         return len(self.events)

@@ -27,9 +27,9 @@ Public surface
     it — ``Interrupt`` for scheduling decisions (the Active I/O Runtime
     preempting a kernel), ``Failure`` for injected component failures
     (crash, degrade, cancellation; see ``repro.faults``).
-``Resource``, ``PriorityResource``, ``Container``, ``Store``
+``Resource``, ``PriorityResource``, ``Store``
     Shared-resource primitives used to model CPU cores, NIC links and
-    I/O queues.
+    the Active I/O Runtime's request queue.
 ``TimeWeightedStat``
     Time-weighted average of a piecewise-constant signal.
 ``HeapScheduler``
@@ -51,31 +51,27 @@ from repro.sim.engine import Environment
 from repro.sim.scheduler import HeapScheduler, make_event_scheduler
 from repro.sim.process import Process, join_inline
 from repro.sim.resources import (
-    Container,
     PriorityRequest,
     PriorityResource,
     Release,
     Request,
     Resource,
 )
-from repro.sim.store import FilterStore, PriorityStore, Store, StoreGet, StorePut
+from repro.sim.store import Store, StoreGet, StorePut
 from repro.sim.monitor import TimeWeightedStat
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "Container",
     "Environment",
     "Event",
     "Failure",
-    "FilterStore",
     "HeapScheduler",
     "Interrupt",
     "PENDING",
     "PriorityRequest",
     "PriorityResource",
-    "PriorityStore",
     "Process",
     "Release",
     "Request",

@@ -122,12 +122,6 @@ class Environment:
         if event is None:
             raise SimulationError("no scheduled events")
 
-        if self.tracer.trace_engine:
-            # High-volume: every processed event.  Gated by its own
-            # flag so normal tracing runs don't pay for it.
-            self.tracer.instant(
-                self._now, "event", "engine", etype=type(event).__name__
-            )
         callbacks = event.callbacks
         event.callbacks = None  # mark processed
         if callbacks is not None:
@@ -173,17 +167,13 @@ class Environment:
 
         # Inlined hot loops: the ``heappop`` sits in the loop itself,
         # so the per-event cost is the heap touch, not method calls.
-        # The engine-trace check is hoisted to a local so the common
-        # untraced (NULL_TRACER) case pays a single bool test per
-        # event.  ``step()``/``peek()`` remain for single-stepping
-        # callers.  The bounded (until=<time>) and unbounded
-        # (until=None / until=<event>) runs get a loop each, so the
-        # unbounded one skips the stop-time comparison entirely.
+        # ``step()``/``peek()`` remain for single-stepping callers.
+        # The bounded (until=<time>) and unbounded (until=None /
+        # until=<event>) runs get a loop each, so the unbounded one
+        # skips the stop-time comparison entirely.
         # ``compact()`` filters ``queue`` in place, so the local stays
         # valid across sweeps.
         queue = self._sched._queue
-        tracer = self.tracer
-        trace_engine = tracer.trace_engine
         if stop_time < Infinity:
             while queue:
                 if queue[0][0] >= stop_time:
@@ -192,10 +182,6 @@ class Environment:
                     break
                 when, _prio, _eid, event = heappop(queue)
                 self._now = when
-                if trace_engine:
-                    tracer.instant(
-                        when, "event", "engine", etype=type(event).__name__
-                    )
                 callbacks = event.callbacks
                 event.callbacks = None  # mark processed
                 if callbacks:
@@ -221,10 +207,6 @@ class Environment:
                     break
                 when, _prio, _eid, event = heappop(queue)
                 self._now = when
-                if trace_engine:
-                    tracer.instant(
-                        when, "event", "engine", etype=type(event).__name__
-                    )
                 callbacks = event.callbacks
                 event.callbacks = None  # mark processed
                 if callbacks:

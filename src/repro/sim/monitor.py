@@ -1,12 +1,9 @@
 """Statistics helpers for simulation runs.
 
-The Contention Estimator (paper Sec. III-D) "monitors current system
-status, including I/O queue, memory usage and CPU usage".
-:class:`TimeWeightedStat` accumulates the time-weighted signals those
-probes read: CPU-busy fractions on storage-node cores, and the
-time-weighted gauges (queue length) of
-:class:`repro.obs.MetricsRegistry`.  :func:`percentile` serves the
-latency reports.
+:class:`TimeWeightedStat` accumulates the time-weighted area of a
+piecewise-constant signal; it backs the time-weighted gauges (queue
+length) of :class:`repro.obs.MetricsRegistry`.  :func:`percentile`
+serves the latency reports.
 """
 
 from __future__ import annotations
@@ -18,8 +15,8 @@ from typing import Iterable
 class TimeWeightedStat:
     """Online time-weighted average of a piecewise-constant signal.
 
-    Keeps only the running area, not the samples — used for CPU-busy
-    fractions on storage-node cores and time-weighted gauges.
+    Keeps only the running area, not the samples — the state of one
+    time-weighted gauge.
     """
 
     __slots__ = ("_last_time", "_last_value", "_area", "_start")

@@ -9,8 +9,6 @@ context manager) to give it back.
 ``PriorityResource`` adds a priority queue so that normal I/O can take
 precedence over active I/O when a storage node saturates ("normal I/O
 will take the priority", paper Sec. I).
-
-``Container`` models a scalar quantity (memory bytes, buffer space).
 """
 
 from __future__ import annotations
@@ -271,95 +269,3 @@ class PriorityResource(Resource):
             self.users.append(nxt)
             self._trace_wait_end(nxt)
             nxt.succeed()
-
-
-class ContainerPut(Event):
-    """Pending deposit of ``amount`` into a :class:`Container`."""
-
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._puts.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    """Pending withdrawal of ``amount`` from a :class:`Container`."""
-
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._gets.append(self)
-        container._trigger()
-
-
-class Container:
-    """A homogeneous scalar reservoir with blocking put/get.
-
-    Used to model memory pressure on storage nodes: the Contention
-    Estimator's probe reads ``level / capacity`` as the node's memory
-    utilisation.
-    """
-
-    __slots__ = ("env", "_capacity", "_level", "_puts", "_gets")
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not (0 <= init <= capacity):
-            raise ValueError("init must lie in [0, capacity]")
-        self.env = env
-        self._capacity = capacity
-        self._level = init
-        self._puts: Deque[ContainerPut] = deque()
-        self._gets: Deque[ContainerGet] = deque()
-
-    @property
-    def capacity(self) -> float:
-        """Maximum level."""
-        return self._capacity
-
-    @property
-    def level(self) -> float:
-        """Current content."""
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        """Deposit ``amount`` (blocks while it would overflow)."""
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        """Withdraw ``amount`` (blocks until available)."""
-        return ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        """Serve queued puts/gets in FIFO order while they fit."""
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._puts and self._level + self._puts[0].amount <= self._capacity:
-                put = self._puts.popleft()
-                self._level += put.amount
-                put.succeed()
-                progressed = True
-            if self._gets and self._level >= self._gets[0].amount:
-                get = self._gets.popleft()
-                self._level -= get.amount
-                get.succeed()
-                progressed = True
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Container {self._level}/{self._capacity}>"

@@ -1,19 +1,16 @@
-"""Object stores — the building block for I/O request queues.
+"""Object stores — the building block for request queues.
 
 ``Store`` is an unbounded-or-bounded FIFO of arbitrary Python objects
-with blocking ``put``/``get``.  The per-storage-node I/O queue that
-Figure 1 of the paper depicts (normal and active requests from many
-applications funnelled into one server) is a ``PriorityStore`` in this
-reproduction, so the Active I/O Runtime can drain requests in arrival
-or priority order and the Contention Estimator can inspect the backlog.
+with blocking ``put``/``get``.  The Active I/O Runtime queues the active
+requests a storage node accepted in one: its kernel executor drains
+them in arrival order, and a policy refresh revokes a queued request
+with ``remove``.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
-from typing import Any, Callable, Deque, List, TYPE_CHECKING
+from typing import Any, Deque, List, TYPE_CHECKING
 
 from repro.sim.events import Event
 
@@ -99,137 +96,24 @@ class Store:
             self.items.remove(item)
         except ValueError:
             return False
-        self._removed(item)
         self._trigger()
         return True
 
-    def _removed(self, item: Any) -> None:
-        """Hook for subclasses whose ``items`` has extra structure."""
-
     # -- internals ---------------------------------------------------------
-    def _do_put(self, put: StorePut) -> bool:
-        if len(self.items) < self._capacity:
-            self._insert(put.item)
-            put.succeed()
-            return True
-        return False
-
-    def _do_get(self, get: StoreGet) -> bool:
-        if self.items:
-            get.succeed(self._extract(get))
-            return True
-        return False
-
-    def _insert(self, item: Any) -> None:
-        self.items.append(item)
-
-    def _extract(self, get: StoreGet) -> Any:
-        return self.items.pop(0)
-
     def _trigger(self) -> None:
+        """Admit blocked puts while there is room, then serve gets."""
+        items, puts, gets = self.items, self._put_waiters, self._get_waiters
         progressed = True
         while progressed:
             progressed = False
-            while self._put_waiters:
-                if not self._do_put(self._put_waiters[0]):
-                    break
-                self._put_waiters.popleft()
+            while puts and len(items) < self._capacity:
+                put = puts.popleft()
+                items.append(put.item)
+                put.succeed()
                 progressed = True
-            while self._get_waiters:
-                if not self._do_get(self._get_waiters[0]):
-                    break
-                self._get_waiters.popleft()
+            while gets and items:
+                gets.popleft().succeed(items.pop(0))
                 progressed = True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} items={len(self.items)}>"
-
-
-class PriorityItem:
-    """Wrapper ordering arbitrary payloads by an explicit priority."""
-
-    __slots__ = ("priority", "item", "_order")
-    _counter = itertools.count()
-
-    def __init__(self, priority: float, item: Any) -> None:
-        self.priority = priority
-        self.item = item
-        self._order = next(PriorityItem._counter)
-
-    def __lt__(self, other: "PriorityItem") -> bool:
-        return (self.priority, self._order) < (other.priority, other._order)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PriorityItem({self.priority!r}, {self.item!r})"
-
-
-class PriorityStore(Store):
-    """A store that yields the lowest-priority item first.
-
-    Items must be :class:`PriorityItem` instances (or anything
-    totally ordered).
-    """
-
-    __slots__ = ()
-
-    def _insert(self, item: Any) -> None:
-        heapq.heappush(self.items, item)
-
-    def _extract(self, get: StoreGet) -> Any:
-        return heapq.heappop(self.items)
-
-    def _removed(self, item: Any) -> None:
-        # list.remove broke the heap invariant; rebuild it.
-        heapq.heapify(self.items)
-
-
-class FilterStoreGet(StoreGet):
-    """A get that only matches items satisfying a predicate."""
-
-    __slots__ = ("filter",)
-
-    def __init__(self, store: "FilterStore", filt: Callable[[Any], bool]) -> None:
-        self.filter = filt
-        super().__init__(store)
-
-
-class FilterStore(Store):
-    """A store whose consumers select items with a predicate.
-
-    Used by the PVFS client to collect per-server responses matched by
-    request id without imposing a completion order.
-    """
-
-    __slots__ = ()
-
-    def get(self, filt: Callable[[Any], bool] = lambda item: True) -> FilterStoreGet:  # type: ignore[override]
-        """Remove the first item matching ``filt`` (blocks until one exists)."""
-        return FilterStoreGet(self, filt)
-
-    def _do_get(self, get: StoreGet) -> bool:
-        assert isinstance(get, FilterStoreGet)
-        for i, item in enumerate(self.items):
-            if get.filter(item):
-                del self.items[i]
-                get.succeed(item)
-                return True
-        return False
-
-    def _trigger(self) -> None:
-        # Unlike FIFO stores, a blocked head-of-line get must not stall
-        # later gets whose predicates could match.
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._put_waiters:
-                if not self._do_put(self._put_waiters[0]):
-                    break
-                self._put_waiters.popleft()
-                progressed = True
-            satisfied = []
-            for get in self._get_waiters:
-                if self._do_get(get):
-                    satisfied.append(get)
-                    progressed = True
-            for get in satisfied:
-                self._get_waiters.remove(get)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Environment, Interrupt
-from repro.cluster import ComputeNode, NodeSpec, StorageNode
+from repro.cluster import NodeSpec, StorageNode
 from repro.cluster.node import ComputeInterrupted, CpuCores
 
 MB = 1024 * 1024
@@ -157,15 +157,6 @@ class TestCpuCores:
 
 
 class TestNodes:
-    def test_memory_utilization(self, env):
-        node = ComputeNode(env, "cn0", NodeSpec(memory_bytes=1000))
-
-        def proc(env, node):
-            yield node.memory.put(250)
-            return node.memory_utilization()
-
-        assert env.run(until=env.process(proc(env, node))) == pytest.approx(0.25)
-
     def test_disk_read_time(self, env):
         node = StorageNode(env, "sn0", NodeSpec(disk_bandwidth=100 * MB))
 

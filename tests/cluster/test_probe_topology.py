@@ -19,7 +19,7 @@ MB = 1024 * 1024
 class TestSystemProbe:
     def _probe(self, **overrides):
         base = dict(
-            time=0.0, cpu_utilization=0.5, memory_utilization=0.25,
+            time=0.0, cpu_utilization=0.5,
             io_queue_length=10, active_queue_length=4,
             queued_bytes=1000.0, active_bytes=400.0,
         )
@@ -36,7 +36,7 @@ class TestSystemProbe:
 
     @pytest.mark.parametrize("overrides", [
         {"cpu_utilization": 1.5},
-        {"memory_utilization": -0.1},
+        {"cpu_utilization": -0.1},
         {"io_queue_length": -1},
         {"active_queue_length": 11},  # exceeds io_queue_length
     ])
@@ -64,7 +64,23 @@ class TestNodeProber:
         assert probe.active_queue_length == 2
         assert probe.active_bytes == 256 * MB
         assert prober.latest() is probe
-        assert len(prober.history) == 1
+
+    def test_lost_probe_replays_the_last_live_snapshot(self, env):
+        node = StorageNode(env, "sn0", NodeSpec(cores=2))
+        queue = [(1, 1, 8.0, 8.0)]
+        prober = NodeProber(node, lambda: queue[-1])
+
+        def sample(env, prober):
+            live = prober.probe()
+            prober.suppress_until(2.0)
+            queue.append((3, 2, 24.0, 16.0))
+            yield env.timeout(1.0)
+            return live, prober.probe()
+
+        live, replay = env.run(until=env.process(sample(env, prober)))
+        assert replay.stale and not live.stale
+        assert (replay.time, replay.io_queue_length) == (0.0, 1)
+        assert prober.latest() is live
 
     def test_latest_none_before_first(self, env):
         node = StorageNode(env, "sn0", NodeSpec())

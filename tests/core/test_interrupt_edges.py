@@ -6,9 +6,9 @@ Two boundaries the migration protocol must get exactly right:
    kernel invocation overhead, or before the CPU slot is granted) must
    checkpoint at the prior progress mark exactly — resumed work is
    never forgotten, fresh work is never invented.
-2. ``checkpoint_quantum`` must never tear a dtype item, including on a
-   *resumed* run (``already > 0``): progress only ever moves forward
-   and only in whole-item steps.
+2. The checkpoint quantum (``CHECKPOINT_QUANTUM`` bytes) must never
+   tear a dtype item, including on a *resumed* run (``already > 0``):
+   progress only ever moves forward and only in whole-item steps.
 """
 
 import numpy as np

@@ -162,12 +162,12 @@ class TestDOSASEstimator:
         with pytest.raises(KeyError, match="mystery"):
             est.evaluate([req], [])
 
-    def test_policy_log_grows(self, env, setup):
+    def test_objective_values_grow(self, env, setup):
         _node, prober, fh = setup
         est = self._estimator(prober)
         est.evaluate([], [])
-        est.evaluate([_request(env, fh, MB)], [])
-        assert len(est.policy_log) == 2
+        policy = est.evaluate([_request(env, fh, MB)], [])
+        assert est.objective_values == [0.0, policy.objective_value]
 
     def test_bandwidth_validation(self, setup):
         _node, prober, _fh = setup

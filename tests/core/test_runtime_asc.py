@@ -180,7 +180,7 @@ class TestInterruptAndMigrate:
 class TestRuntimeConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"kernel_slots": 0},
-        {"checkpoint_quantum": 0},
+        {"kernel_slots": -1},
         {"invocation_overhead": -1},
     ])
     def test_rejects_bad_values(self, kwargs):

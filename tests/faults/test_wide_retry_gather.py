@@ -3,7 +3,9 @@
 A logical read of a width-2 file is two per-server requests, so the
 ASC recovers them in one process each, concurrently: a crash on one
 server delays only its own piece, and the first piece to exhaust its
-retries reaches the caller while the other piece still runs.
+retries reaches the caller while the other piece still runs.  That
+piece then gives up at its next re-issue instead of retrying for a
+read nobody waits on.
 """
 
 import numpy as np
@@ -107,8 +109,9 @@ def test_exhausted_piece_reaches_the_caller_while_the_other_runs(pieces):
             # crash the engine.
             assert not pieces[0].is_alive and pieces[1].is_alive
             assert pieces[0].defused and pieces[1].defused
-            # Kill piece 1 too: its RetryExhausted lands with nobody
-            # waiting on it.
+            # Kill piece 1's in-flight attempt: the read is abandoned,
+            # so the piece gives up instead of re-issuing, and its
+            # RetryExhausted lands with nobody waiting on it.
             servers[1].crash()
 
     env.run(until=env.process(app()))
@@ -119,4 +122,6 @@ def test_exhausted_piece_reaches_the_caller_while_the_other_runs(pieces):
     assert err.reasons == {"failed: ServerCrashed": 1, "failed: ServerUnavailable": 3}
     late = pieces[1].value
     assert isinstance(late, RetryExhausted)
-    assert late.reasons == {"failed: ServerCrashed": 1, "failed: ServerUnavailable": 3}
+    assert "gave up (read abandoned)" in str(late)
+    assert late.reasons == {"failed: ServerCrashed": 1}
+    assert servers[1].metrics.get_counter("requests_rejected") == 0

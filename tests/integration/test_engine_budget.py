@@ -19,9 +19,17 @@ change that keeps every push but moves one (say, a child process's
 start or finish entry) reorders the run even where no test of its
 outputs notices.  Their ``Process`` counts are pinned exactly, as
 fixed points of the same ratchet.
+
+The same point with 64 requests keeps the Contention Estimator probing
+and re-deciding for the whole run (2,273 policies).  Its tracemalloc
+peak, measured after a warm-up run, may only fall too: state a run
+keeps per probe or per policy shows up there.
 """
 
+import gc
 import hashlib
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -61,6 +69,12 @@ RETRY_PROCESS_BUDGET = 10
 #: Iterations over ``IOServer.outstanding`` and the records they visit
 #: (329 and 2222 while every probe scanned the queue).
 QUEUE_SCAN_BUDGET = 0
+
+#: Ceiling on the tracemalloc peak of one run of the 64-request point,
+#: in bytes.  1.74 MB while every probe snapshot and every policy of
+#: the run was kept; 0.73 MB since.
+LONG_SPEC = replace(SPEC, n_requests=64)
+PEAK_MEMORY_BUDGET = int(1.2 * MB)
 
 #: One seeded ``run_scenario`` (protected plus baseline, DOSAS) of each
 #: scenario: (pushes, sha256 of the push sequence, processes).  The
@@ -158,6 +172,18 @@ def test_retry_point_reads_the_remainder_one_stripe_per_attempt(counters):
     assert 0 < counters["pushes"] <= RETRY_PUSH_BUDGET
     assert counters["processes"] <= RETRY_PROCESS_BUDGET
     assert counters["queue_scans"] <= QUEUE_SCAN_BUDGET
+
+
+def test_long_point_peak_memory_within_budget():
+    run_scheme(Scheme.DOSAS, LONG_SPEC)  # warm-up: imports and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_scheme(Scheme.DOSAS, LONG_SPEC)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_MEMORY_BUDGET
 
 
 def test_bare_normal_read_spawns_no_process(counters):

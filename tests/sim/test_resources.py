@@ -1,9 +1,9 @@
-"""Resource, PriorityResource and Container semantics."""
+"""Resource and PriorityResource semantics."""
 
 import pytest
 
 from repro.obs import Tracer
-from repro.sim import Container, Environment, PriorityResource, Resource, SimulationError
+from repro.sim import Environment, PriorityResource, Resource, SimulationError
 
 
 class TestResource:
@@ -419,58 +419,3 @@ class TestSlotWaitTracing:
         env.process(worker(env, res))
         env.run()
         assert env.tracer.events == []
-
-
-class TestContainer:
-    def test_validation(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=5, init=6)
-
-    def test_put_get_levels(self, env):
-        c = Container(env, capacity=100, init=10)
-
-        def proc(env, c):
-            yield c.put(30)
-            yield c.get(15)
-            return c.level
-
-        assert env.run(until=env.process(proc(env, c))) == 25
-
-    def test_get_blocks_until_available(self, env):
-        c = Container(env, capacity=100)
-
-        def consumer(env, c):
-            yield c.get(50)
-            return env.now
-
-        def producer(env, c):
-            yield env.timeout(3)
-            yield c.put(50)
-
-        p = env.process(consumer(env, c))
-        env.process(producer(env, c))
-        assert env.run(until=p) == 3
-
-    def test_put_blocks_when_full(self, env):
-        c = Container(env, capacity=10, init=10)
-
-        def producer(env, c):
-            yield c.put(5)
-            return env.now
-
-        def consumer(env, c):
-            yield env.timeout(2)
-            yield c.get(7)
-
-        p = env.process(producer(env, c))
-        env.process(consumer(env, c))
-        assert env.run(until=p) == 2
-
-    def test_nonpositive_amounts_rejected(self, env):
-        c = Container(env, capacity=10)
-        with pytest.raises(ValueError):
-            c.put(0)
-        with pytest.raises(ValueError):
-            c.get(-1)

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6,
@@ -102,27 +102,3 @@ def test_store_preserves_items_fifo(items):
     env.process(producer(env, st_))
     result = env.run(until=env.process(consumer(env, st_)))
     assert result == items
-
-
-@given(
-    puts=st.lists(st.floats(min_value=0.1, max_value=10, allow_nan=False),
-                  min_size=1, max_size=20),
-)
-def test_container_conserves_mass(puts):
-    """level == Σ puts − Σ gets at quiescence."""
-    env = Environment()
-    c = Container(env, capacity=1e9)
-    taken = [p / 2 for p in puts]
-
-    def producer(env, c):
-        for p in puts:
-            yield c.put(p)
-
-    def consumer(env, c):
-        for t in taken:
-            yield c.get(t)
-
-    env.process(producer(env, c))
-    env.process(consumer(env, c))
-    env.run()
-    assert abs(c.level - (sum(puts) - sum(taken))) < 1e-9

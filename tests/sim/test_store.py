@@ -1,9 +1,8 @@
-"""Store, PriorityStore and FilterStore semantics."""
+"""Store semantics."""
 
 import pytest
 
-from repro.sim import Environment, FilterStore, PriorityStore, Store
-from repro.sim.store import PriorityItem
+from repro.sim import Environment, Store
 
 
 class TestStore:
@@ -123,93 +122,3 @@ class TestStore:
         # The tombstone freed the slot: the blocked put completes.
         assert env.run(until=p) == 3
         assert st.items == ["b"]
-
-
-class TestPriorityStore:
-    def test_lowest_priority_first(self, env):
-        st = PriorityStore(env)
-
-        def proc(env, st):
-            yield st.put(PriorityItem(3, "c"))
-            yield st.put(PriorityItem(1, "a"))
-            yield st.put(PriorityItem(2, "b"))
-            out = []
-            for _ in range(3):
-                item = yield st.get()
-                out.append(item.item)
-            return out
-
-        assert env.run(until=env.process(proc(env, st))) == ["a", "b", "c"]
-
-    def test_fifo_within_priority(self, env):
-        st = PriorityStore(env)
-
-        def proc(env, st):
-            yield st.put(PriorityItem(1, "first"))
-            yield st.put(PriorityItem(1, "second"))
-            a = yield st.get()
-            b = yield st.get()
-            return [a.item, b.item]
-
-        assert env.run(until=env.process(proc(env, st))) == ["first", "second"]
-
-    def test_remove_keeps_heap_order(self, env):
-        st = PriorityStore(env)
-        mid = PriorityItem(2, "b")
-
-        def proc(env, st):
-            yield st.put(PriorityItem(3, "c"))
-            yield st.put(mid)
-            yield st.put(PriorityItem(1, "a"))
-            assert st.remove(mid) is True
-            out = []
-            for _ in range(2):
-                item = yield st.get()
-                out.append(item.item)
-            return out
-
-        # After removing the middle item the heap still pops in order.
-        assert env.run(until=env.process(proc(env, st))) == ["a", "c"]
-
-
-class TestFilterStore:
-    def test_predicate_selects_item(self, env):
-        st = FilterStore(env)
-
-        def proc(env, st):
-            yield st.put({"id": 1})
-            yield st.put({"id": 2})
-            item = yield st.get(lambda it: it["id"] == 2)
-            return (item["id"], len(st))
-
-        assert env.run(until=env.process(proc(env, st))) == (2, 1)
-
-    def test_blocked_head_does_not_starve_matchers(self, env):
-        st = FilterStore(env)
-        got = []
-
-        def want(env, st, target):
-            item = yield st.get(lambda it: it == target)
-            got.append((env.now, target))
-
-        def producer(env, st):
-            yield env.timeout(1)
-            yield st.put("b")  # satisfies the *second* waiter
-            yield env.timeout(1)
-            yield st.put("a")
-
-        env.process(want(env, st, "a"))
-        env.process(want(env, st, "b"))
-        env.process(producer(env, st))
-        env.run()
-        assert got == [(1, "b"), (2, "a")]
-
-    def test_default_filter_matches_anything(self, env):
-        st = FilterStore(env)
-
-        def proc(env, st):
-            yield st.put(123)
-            item = yield st.get()
-            return item
-
-        assert env.run(until=env.process(proc(env, st))) == 123
