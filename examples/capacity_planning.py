@@ -67,7 +67,7 @@ def collective_end_to_end() -> None:
     print("=== 4. End-to-end collective read_ex_all (4 ranks, verified) ===")
     from repro.sim import Environment
     from repro.cluster import ClusterTopology, NodeProber
-    from repro.core import ActiveStorageClient, ActiveStorageServer, DOSASEstimator
+    from repro.core import ActiveIORuntime, ActiveStorageClient, DOSASEstimator
     from repro.core.runtime import RuntimeConfig
     from repro.core.schemes import cost_models_from_registry
     from repro.kernels.registry import default_registry
@@ -79,14 +79,14 @@ def collective_end_to_end() -> None:
     topo = ClusterTopology(env, config)
     mds = MetadataServer(1, config.stripe_size)
     server = IOServer(env, topo.storage_node(0),
-                      topo.link_for(topo.storage_node(0)), mds, config)
+                      topo.link_for(topo.storage_node(0)), mds)
     estimator = DOSASEstimator(
         prober=NodeProber(server.node, server.queue_stats),
         kernel_models=cost_models_from_registry(default_registry),
         bandwidth=config.network_bandwidth,
     )
-    ActiveStorageServer(env, server, estimator,
-                        config=RuntimeConfig(execute_kernels=True))
+    ActiveIORuntime(env, server, estimator,
+                    config=RuntimeConfig(execute_kernels=True))
     mds.create("/campaign/field", size=8 * MB, seed=99)
 
     contexts = []

@@ -22,7 +22,7 @@ from repro.sim import Environment
 from repro.cluster.config import NodeSpec, discfarm_config
 from repro.cluster.probe import NodeProber
 from repro.cluster.topology import ClusterTopology
-from repro.core import ActiveStorageClient, ActiveStorageServer, DOSASEstimator
+from repro.core import ActiveIORuntime, ActiveStorageClient, DOSASEstimator
 from repro.core.schemes import cost_models_from_registry
 from repro.kernels.registry import default_registry
 from repro.mpiio import DOUBLE, MPIIOContext, ResultStruct, Status
@@ -38,7 +38,7 @@ def single_active_read() -> None:
     mds = MetadataServer(n_io_servers=1, default_stripe_size=config.stripe_size)
 
     server = IOServer(env, topo.storage_node(0), topo.link_for(topo.storage_node(0)),
-                      mds, config)
+                      mds)
     prober = NodeProber(server.node, server.queue_stats)
     estimator = DOSASEstimator(
         prober=prober,
@@ -46,8 +46,8 @@ def single_active_read() -> None:
         bandwidth=config.network_bandwidth,
     )
     from repro.core.runtime import RuntimeConfig
-    ActiveStorageServer(env, server, estimator,
-                        config=RuntimeConfig(execute_kernels=True))
+    ActiveIORuntime(env, server, estimator,
+                    config=RuntimeConfig(execute_kernels=True))
 
     # An 8 MB file of synthetic float64 data.
     file = mds.create("/data/simulation_output", size=8 * MB, seed=7)

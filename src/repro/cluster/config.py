@@ -37,24 +37,16 @@ class NodeSpec:
         calibrated processing rate.  1.0 means the paper's PowerEdge
         R415 core ("the storage node and the compute node have the same
         processing capability in our evaluations").
-    disk_bandwidth:
-        Sequential read bandwidth of local storage.  The paper's model
-        folds disk time into the constant kernel/network rates, so the
-        default is fast enough not to be the bottleneck; it can be
-        lowered for ablations.
     """
 
     cores: int = 2
     core_speed: float = 1.0
-    disk_bandwidth: float = 500 * MB
 
     def __post_init__(self) -> None:
         if self.cores <= 0:
             raise ValueError(f"cores must be positive, got {self.cores}")
         if self.core_speed <= 0:
             raise ValueError(f"core_speed must be positive, got {self.core_speed}")
-        if self.disk_bandwidth <= 0:
-            raise ValueError("disk_bandwidth must be positive")
 
 
 @dataclass(frozen=True)
@@ -86,11 +78,10 @@ class ClusterConfig:
     seed:
         Seed for every stochastic element (jitter); runs are fully
         reproducible.
-    model_disk:
-        When False (the paper's effective abstraction), server-side
-        disk reads are folded into kernel/network service times.  When
-        True, an explicit disk stage with ``disk_bandwidth`` is
-        simulated before compute/transfer.
+
+    Server-side disk time is folded into the kernel and network rates
+    (the paper's abstraction), so a normal read or write is one link
+    transfer.
     """
 
     n_compute: int = 15
@@ -102,7 +93,6 @@ class ClusterConfig:
     stripe_size: int = 4 * MB
     network_latency: float = 0.0
     seed: int = 20120924  # CLUSTER'12 conference dates
-    model_disk: bool = False
 
     def __post_init__(self) -> None:
         if self.n_compute <= 0 or self.n_storage <= 0:

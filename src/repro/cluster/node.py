@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.sim.engine import Environment
-from repro.sim.events import Timeout
 from repro.sim.exceptions import Failure, Interrupt
 from repro.sim.resources import PriorityResource
 from repro.cluster.config import NodeSpec
@@ -179,22 +178,8 @@ class ComputeNode(Node):
 
 
 class StorageNode(Node):
-    """A server node: disk plus the I/O request queue of Figure 1.
+    """A server node, home of the I/O request queue of Figure 1.
 
     The actual queue object is attached by the PVFS server
     (``repro.pvfs.server``); the node only supplies hardware.
     """
-
-    def __init__(self, env: Environment, name: str, spec: NodeSpec) -> None:
-        super().__init__(env, name, spec)
-        self.disk_bandwidth = spec.disk_bandwidth
-
-    def disk_read(self, nbytes: float) -> Timeout:
-        """Read ``nbytes`` from local disk: an event that fires when done.
-
-        Its value is ``nbytes``.  Yield it inside a process or chain a
-        callback on it.
-        """
-        if nbytes < 0:
-            raise ValueError(f"negative byte count {nbytes}")
-        return self.env.timeout(nbytes / self.disk_bandwidth, nbytes)

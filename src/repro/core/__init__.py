@@ -17,11 +17,12 @@ Components (paper Sec. III):
 ``runtime``
     The Active I/O Runtime (R): executes kernels on storage cores,
     demotes requests the policy rejects, interrupts and checkpoints
-    running kernels on policy reversals.
-``ass`` / ``asc``
-    Active Storage Server and Active Storage Client — the two deployed
-    halves wiring runtime+estimator to the PVFS server and finishing
-    demoted work on compute nodes.
+    running kernels on policy reversals.  It is the PVFS server's
+    active handler, so a server with its runtime, that runtime's
+    estimator and kernel registry is the Active Storage Server.
+``asc``
+    The Active Storage Client, which finishes demoted work on compute
+    nodes.
 ``schemes`` / ``planrun``
     The one run driver (``build_system`` → client processes →
     ``drive`` → ``summarise``) and its two lowerings: ``run_scheme``
@@ -47,7 +48,6 @@ from repro.core.estimator import (
     NeverOffloadEstimator,
 )
 from repro.core.runtime import ActiveIORuntime, RuntimeConfig
-from repro.core.ass import ActiveStorageServer
 from repro.core.asc import (
     ActiveReadOutcome,
     ActiveStorageClient,
@@ -79,7 +79,6 @@ __all__ = [
     "SmoothedDOSASEstimator",
     "ActiveReadOutcome",
     "ActiveStorageClient",
-    "ActiveStorageServer",
     "AlwaysOffloadEstimator",
     "BranchAndBoundScheduler",
     "ContentionEstimator",

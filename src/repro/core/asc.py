@@ -213,7 +213,6 @@ class ActiveStorageClient:
         pvfs: PVFSClient,
         registry: Optional[KernelRegistry] = None,
         execute_kernels: bool = False,
-        client_speed_factor: float = 1.0,
         breakers: Optional[BreakerBoard] = None,
         retry_budget: Optional[RetryBudget] = None,
         pace: Optional[TokenBucket] = None,
@@ -225,10 +224,9 @@ class ActiveStorageClient:
         self.node = node
         self.pvfs = pvfs
         #: Client-side PK deployment (shared instances — kernels are
-        #: stateless; see ActiveStorageServer).
+        #: stateless; see ActiveIORuntime.registry).
         self.registry = registry or default_registry
         self.execute_kernels = execute_kernels
-        self.client_speed_factor = float(client_speed_factor)
         #: Overload protection (see repro.qos): per-server circuit
         #: breakers, the run-global retry-token pool, submit pacing,
         #: the relative deadline stamped on every request, and the
@@ -592,7 +590,8 @@ class ActiveStorageClient:
         success only when the *primary* wins and failure when the
         primary demonstrably failed (hard error or attempt timeout).  A
         hedge win says the primary was slow, not sick — it costs the
-        primary a full-elapsed-time latency observation, nothing more.
+        primary a full-elapsed-time latency observation and hands back
+        a half-open probe the breaker granted, nothing more.
 
         Returns ``(reply, reason, error)``: a winning reply, or
         ``None`` with the abandon reason for the retry loop.
@@ -718,6 +717,8 @@ class ActiveStorageClient:
                     breaker.on_success(env.now)
             else:
                 dispatcher.observe(primary_idx, env.now - issued_at)
+                if breaker is not None:
+                    breaker.release_probe()
             win_reply: IOReply = win_req.reply.value
             return win_reply, "", None
         if reason == "timeout":
@@ -813,12 +814,10 @@ class ActiveStorageClient:
             yield from self.read(reply.fh, offset=file_offset, size=nbytes,
                                  retry=retry)
 
-        # Client-side compute at C_{C,op} on this node's cores.
+        # Client-side compute at C_{C,op}: this node's cores apply
+        # their own core speed to the kernel's rate.
         if remaining > 0:
-            yield from self.node.cpu.compute(
-                float(remaining),
-                kernel.rate * self.client_speed_factor,
-            )
+            yield from self.node.cpu.compute(float(remaining), kernel.rate)
 
         partial = None
         if self.execute_kernels:

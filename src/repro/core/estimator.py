@@ -86,10 +86,6 @@ class DOSASEstimator(ContentionEstimator):
         Probe source for the storage node (CPU, core derate, I/O queue).
     kernel_models:
         op name → :class:`KernelCostModel`.
-    compute_capability:
-        op name → C_{C,op} (bytes/s on a compute node).  If an op is
-        missing, the kernel's own rate scaled by
-        ``client_speed_factor`` is used.
     bandwidth:
         bw in bytes/s.
     scheduler:
@@ -106,7 +102,8 @@ class DOSASEstimator(ContentionEstimator):
         experiments kernels are the only CPU consumers.
     client_speed_factor:
         Compute-node core speed relative to storage ("the storage node
-        and the compute node have the same processing capability" ⇒ 1).
+        and the compute node have the same processing capability" ⇒ 1);
+        C_{C,op} is the kernel's rate scaled by it.
     stale_probe_timeout:
         Seconds of probe staleness the CE tolerates before treating
         the node as unreachable.  When probes are being lost (fault
@@ -131,7 +128,6 @@ class DOSASEstimator(ContentionEstimator):
         prober: NodeProber,
         kernel_models: Dict[str, KernelCostModel],
         bandwidth: float,
-        compute_capability: Optional[Dict[str, float]] = None,
         scheduler: Optional[Scheduler] = None,
         probe_period: Optional[float] = 0.1,
         degrade_by_cpu: bool = False,
@@ -144,7 +140,6 @@ class DOSASEstimator(ContentionEstimator):
         self.prober = prober
         self.kernel_models = dict(kernel_models)
         self.bandwidth = float(bandwidth)
-        self.compute_capability = dict(compute_capability or {})
         self.scheduler = scheduler or ThresholdScheduler()
         self.probe_period = probe_period
         self.degrade_by_cpu = degrade_by_cpu
@@ -176,8 +171,6 @@ class DOSASEstimator(ContentionEstimator):
 
     def compute_capability_for(self, op: str) -> float:
         """C_{C,op} for the requesting compute node."""
-        if op in self.compute_capability:
-            return self.compute_capability[op]
         return self._model(op).rate * self.client_speed_factor
 
     def _model(self, op: str) -> KernelCostModel:

@@ -20,6 +20,7 @@ weaknesses:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.probe import SystemProbe
@@ -51,13 +52,12 @@ class SmoothedDOSASEstimator(DOSASEstimator):
         return self.alpha * sample + (1 - self.alpha) * previous
 
     def storage_capability(self, op: str, probe: SystemProbe) -> float:
+        """The base estimate, read at the smoothed CPU utilisation."""
         cpu = self._smooth(self._smoothed_cpu, probe.cpu_utilization)
         self._smoothed_cpu = cpu
-        model = self._model(op)
-        rate = model.rate
-        if self.degrade_by_cpu:
-            rate *= max(0.1, 1.0 - cpu)
-        return rate
+        return super().storage_capability(
+            op, replace(probe, cpu_utilization=cpu)
+        )
 
 
 class HysteresisDOSASEstimator(DOSASEstimator):

@@ -11,7 +11,7 @@
   situation of storage nodes."
 
 This module holds the one run driver.  :func:`build_system` assembles
-the machine (cluster, PVFS, ASS/ASC, protection stack) from a
+the machine (cluster, PVFS, runtimes/ASCs, protection stack) from a
 :class:`WorkloadSpec`; :func:`drive` runs an ordered list of
 :class:`ClientProcess` records on it; :func:`summarise` folds the run
 into a :class:`SchemeResult` — total execution time, per-request latencies,
@@ -58,13 +58,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
     from repro.faults.schedule import FaultSchedule
     from repro.obs.tracer import Tracer
-from repro.core.ass import ActiveStorageServer
 from repro.core.estimator import (
     AlwaysOffloadEstimator,
     ContentionEstimator,
     DOSASEstimator,
 )
-from repro.core.runtime import RuntimeConfig
+from repro.core.runtime import ActiveIORuntime, RuntimeConfig
 from repro.core.scheduler import make_scheduler
 
 
@@ -414,8 +413,8 @@ class System:
     topo: ClusterTopology
     mds: MetadataServer
     servers: List[IOServer]
-    #: One ASS per server (AS/DOSAS only).
-    asses: List[ActiveStorageServer]
+    #: One Active I/O Runtime per server (AS/DOSAS only).
+    runtimes: List[ActiveIORuntime]
     qos: Optional[QoSConfig]
     fault_schedule: Optional["FaultSchedule"]
     retry_budget: Optional[RetryBudget]
@@ -491,7 +490,7 @@ def build_system(
     )
     servers = [
         IOServer(
-            env, sn, topo.link_for(sn), mds, config, server_index=i,
+            env, sn, topo.link_for(sn), mds, server_index=i,
             admission=(
                 AdmissionController.from_config(
                     qos,
@@ -530,7 +529,7 @@ def build_system(
         )
         dispatcher = StragglerDispatcher(board, seed=seed)
 
-    asses: List[ActiveStorageServer] = []
+    runtimes: List[ActiveIORuntime] = []
     if scheme in (Scheme.AS, Scheme.DOSAS):
         runtime_config = RuntimeConfig(
             kernel_slots=spec.kernel_slots,
@@ -551,8 +550,8 @@ def build_system(
             estimator = _build_estimator(
                 scheme, spec, prober, config, models, stale
             )
-            asses.append(
-                ActiveStorageServer(
+            runtimes.append(
+                ActiveIORuntime(
                     env, server, estimator, registry=default_registry,
                     config=runtime_config,
                 )
@@ -566,7 +565,7 @@ def build_system(
 
     return System(
         env=env, scheme=scheme, spec=spec, seed=seed, config=config,
-        topo=topo, mds=mds, servers=servers, asses=asses, qos=qos,
+        topo=topo, mds=mds, servers=servers, runtimes=runtimes, qos=qos,
         fault_schedule=fault_schedule, retry_budget=retry_budget,
         dispatcher=dispatcher, injector=injector,
     )
@@ -590,7 +589,6 @@ def _client_process(
                 pass  # background traffic lost to an injected fault is just gone
         return
     offload = system.scheme is not Scheme.TS
-    client_speed = system.config.compute_spec.core_speed
     for request, fh in client.requests:
         if env.now < request.arrival_time:
             yield env.timeout(request.arrival_time - env.now)
@@ -611,12 +609,11 @@ def _client_process(
         else:
             yield from asc.read(fh, retry=retry)
             if request.active:
-                # TS: the kernel runs client-side after the read.
+                # TS: the kernel runs client-side after the read (the
+                # node's cores apply their own core speed).
                 assert request.operation is not None
                 kernel = kernels[request.operation]
-                yield from asc.node.cpu.compute(
-                    float(request.size), kernel.rate * client_speed
-                )
+                yield from asc.node.cpu.compute(float(request.size), kernel.rate)
                 if system.spec.execute_kernels:
                     data = system.mds.lookup(fh.name).read_bytes_as_array(
                         0, request.size, dtype=kernel.dtype
@@ -680,7 +677,7 @@ def summarise(system: System, outcomes: List[RequestOutcome]) -> Dict[str, Any]:
     """The :class:`SchemeResult` fields of a driven run.
 
     ``outcomes`` are the measured requests in record order; server,
-    ASS and ASC stats are aggregated once, over the whole machine.
+    runtime and ASC stats are aggregated once, over the whole machine.
     """
     scheme, spec, servers, ascs = (
         system.scheme, system.spec, system.servers, system.ascs
@@ -693,8 +690,8 @@ def summarise(system: System, outcomes: List[RequestOutcome]) -> Dict[str, Any]:
     policy_values: List[float] = []
     if scheme is Scheme.TS:
         demoted = sum(1 for o in outcomes if o.request.active)
-    for ass in system.asses:
-        stats = ass.stats
+    for runtime in system.runtimes:
+        stats = runtime.stats
         served_active += stats["served_active"]
         # An interrupted kernel is a demotion too — its remainder
         # was finished by the client.
@@ -705,7 +702,7 @@ def summarise(system: System, outcomes: List[RequestOutcome]) -> Dict[str, Any]:
             + stats["shed_overload"]
         )
         interrupted += stats["interrupted"]
-        est = ass.estimator
+        est = runtime.estimator
         if isinstance(est, DOSASEstimator):
             policy_values.extend(est.objective_values)
 
@@ -764,8 +761,8 @@ def summarise(system: System, outcomes: List[RequestOutcome]) -> Dict[str, Any]:
         policy_values=policy_values,
         retries=_asc_sum("retries"),
         retry_timeouts=_asc_sum("retry_timeouts"),
-        failed_requests=sum(a.stats["failed"] for a in system.asses),
-        wasted_bytes=sum(a.stats["wasted_bytes"] for a in system.asses),
+        failed_requests=sum(r.stats["failed"] for r in system.runtimes),
+        wasted_bytes=sum(r.stats["wasted_bytes"] for r in system.runtimes),
         fault_log=list(system.injector.log) if system.injector is not None else [],
         retry_events=retry_events,
         server_metrics=[

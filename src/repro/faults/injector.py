@@ -8,21 +8,27 @@ applies it through the failure hooks the rest of the stack exposes:
 kind                      mechanism
 ========================  ====================================================
 ``CRASH`` / ``RESTART``   :meth:`IOServer.crash` / :meth:`IOServer.restart`
-``CPU_DEGRADE``           :meth:`CpuCores.derate`, then the runtime's
-                          ``on_degrade`` checkpoint-and-migrate sweep
-``CPU_RESTORE``           :meth:`CpuCores.restore` + a policy refresh
+``CPU_DEGRADE``           :meth:`CpuCores.derate`, then the active
+                          handler's ``on_degrade`` checkpoint-and-migrate
+                          sweep
+``CPU_RESTORE``           :meth:`CpuCores.restore` + the handler's
+                          ``refresh_policy``
 ``LINK_DEGRADE``/…        :meth:`Link.degrade` / ``restore`` /
                           ``partition`` / ``heal``
-``KERNEL_STALL``          the runtime's ``stall_running`` (kernels die
+``KERNEL_STALL``          the handler's ``stall_running`` (kernels die
                           silently; client timeouts recover the work)
-``PROBE_LOSS``            :meth:`NodeProber.suppress_until`
+``PROBE_LOSS``            :meth:`NodeProber.suppress_until` on the
+                          prober of the node's DOSAS estimator
 ``SLOWDOWN`` / …``_END``  CPU derate *and* link degrade together (a
                           whole-box straggler), undone as a pair; a
                           server restart also clears both derates
 ========================  ====================================================
 
-An event whose kind has no application rule raises
-:class:`UnknownFaultKind` — schedules cannot half-apply silently.
+The handler hooks are the ones :class:`~repro.pvfs.server.ActiveHandler`
+declares; a server without an active handler (TS) takes only the
+machine-level half of each fault.  An event whose kind has no
+application rule raises :class:`UnknownFaultKind` — schedules cannot
+half-apply silently.
 
 Everything applied is recorded in :attr:`FaultInjector.log` for the
 analysis layer.
@@ -39,7 +45,10 @@ from typing import Any, Dict, Generator, List, Optional, Sequence
 from repro.sim.engine import Environment
 from repro.sim.events import AnyOf, Event
 from repro.sim.exceptions import SimulationError
+from repro.cluster.probe import NodeProber
 from repro.pvfs.server import IOServer
+from repro.core.estimator import DOSASEstimator
+from repro.core.runtime import ActiveIORuntime
 from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
 
 
@@ -100,28 +109,18 @@ class FaultInjector:
         return self.servers[ev.target % len(self.servers)]
 
     @staticmethod
-    def _runtime(server: IOServer) -> Any:
-        """The node's Active I/O Runtime, if an ASS is attached.
-
-        Duck-typed: anything exposing the failure hooks works, so the
-        injector needs no import of (and no dependency on) the core
-        layer.
-        """
-        handler = server.active_handler
-        if handler is None:
-            return None
-        return getattr(handler, "runtime", handler)
-
-    @staticmethod
-    def _prober(server: IOServer) -> Any:
-        """The estimator's prober for this node, when discoverable."""
-        handler = server.active_handler
-        estimator = getattr(handler, "estimator", None)
-        return getattr(estimator, "prober", None)
+    def _prober(server: IOServer) -> Optional[NodeProber]:
+        """The prober of the node's DOSAS estimator, if it has one."""
+        runtime = server.active_handler
+        if isinstance(runtime, ActiveIORuntime) and isinstance(
+            runtime.estimator, DOSASEstimator
+        ):
+            return runtime.estimator.prober
+        return None
 
     def _apply(self, ev: FaultEvent) -> None:
         server = self._server(ev)
-        runtime = self._runtime(server)
+        handler = server.active_handler
         detail: Optional[str] = None
         kind = ev.kind
 
@@ -132,12 +131,12 @@ class FaultInjector:
         elif kind is FaultKind.CPU_DEGRADE:
             server.node.cpu.derate(ev.factor)
             detail = f"factor={ev.factor}"
-            if runtime is not None and hasattr(runtime, "on_degrade"):
-                runtime.on_degrade("node-degrade")
+            if handler is not None:
+                handler.on_degrade("node-degrade")
         elif kind is FaultKind.CPU_RESTORE:
             server.node.cpu.restore()
-            if runtime is not None and hasattr(runtime, "refresh_policy"):
-                runtime.refresh_policy()
+            if handler is not None:
+                handler.refresh_policy()
         elif kind is FaultKind.LINK_DEGRADE:
             server.link.degrade(ev.factor)
             detail = f"factor={ev.factor}"
@@ -148,9 +147,7 @@ class FaultInjector:
         elif kind is FaultKind.HEAL:
             server.link.heal()
         elif kind is FaultKind.KERNEL_STALL:
-            stalled = 0
-            if runtime is not None and hasattr(runtime, "stall_running"):
-                stalled = runtime.stall_running()
+            stalled = handler.stall_running() if handler is not None else 0
             detail = f"stalled={stalled}"
         elif kind is FaultKind.PROBE_LOSS:
             prober = self._prober(server)
@@ -164,13 +161,13 @@ class FaultInjector:
             server.node.cpu.derate(ev.factor)
             server.link.degrade(ev.factor)
             detail = f"factor={ev.factor}"
-            if runtime is not None and hasattr(runtime, "on_degrade"):
-                runtime.on_degrade("slowdown")
+            if handler is not None:
+                handler.on_degrade("slowdown")
         elif kind is FaultKind.SLOWDOWN_END:
             server.node.cpu.restore()
             server.link.restore()
-            if runtime is not None and hasattr(runtime, "refresh_policy"):
-                runtime.refresh_policy()
+            if handler is not None:
+                handler.refresh_policy()
         else:
             raise UnknownFaultKind(kind)
 

@@ -1,11 +1,13 @@
 """The I/O server running on each storage node.
 
-Serves normal reads itself (optional disk stage, then the node's NIC
-link, which serialises transfers — the g(x) = x/bw model).  Active
-requests are delegated to a pluggable *active handler*; in a full
-DOSAS deployment that handler is the Active Storage Server
-(``repro.core.ass``).  Without a handler, active requests are
-rejected loudly — a traditional PVFS deployment.
+Serves normal reads and writes itself: one transfer on the node's NIC
+link, which serialises transfers — the g(x) = x/bw model (paper
+Table II has no disk term; disk time is folded into the kernel and
+network rates).  Active requests are delegated to a pluggable *active
+handler*; in a full DOSAS deployment that handler is the node's Active
+I/O Runtime (``repro.core.runtime``), and the server with its runtime
+is the paper's Active Storage Server.  Without a handler, active
+requests are rejected loudly — a traditional PVFS deployment.
 
 The server keeps an ``outstanding`` table of accepted-but-unanswered
 requests.  That table *is* the I/O queue of the paper's Figure 1: the
@@ -14,22 +16,16 @@ Contention Estimator's probe reads (n, k, D, D_A) from it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Protocol, Tuple
+from typing import Dict, Optional, Protocol, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.qos.admission import AdmissionController, AdmissionDecision
 from repro.sim.engine import Environment
 from repro.sim.events import Event, Timer
-from repro.cluster.config import ClusterConfig
 from repro.cluster.network import Link
 from repro.cluster.node import StorageNode
 from repro.pvfs.metadata import MetadataServer, PVFSError
 from repro.pvfs.requests import IOKind, IOReply, IORequest
-
-
-#: One service stage: started with the request's size, it returns the
-#: event that fires when the stage is done.
-_Stage = Callable[[float], Event]
 
 
 class ServerFault(PVFSError):
@@ -53,50 +49,59 @@ class DeadlineExceeded(ServerFault):
 
 
 class ActiveHandler(Protocol):
-    """What the DOSAS Active Storage Server implements."""
+    """Every hook the server and the fault injector call on active work.
+
+    The DOSAS Active I/O Runtime (``repro.core.runtime``) implements it.
+    """
 
     def submit(self, request: IORequest) -> None:
         """Accept one active request for processing or demotion."""
 
+    def abort(self, rid: int) -> bool:
+        """Drop ``rid`` without a reply (client cancel or deadline)."""
+
+    def shed(self, rid: int) -> bool:
+        """Answer queued ``rid`` demoted to free queue room."""
+
+    def on_crash(self, cause: str) -> None:
+        """The node crashed: drop every queued and running kernel."""
+
+    def on_degrade(self, cause: str) -> None:
+        """The node slowed down: checkpoint running kernels, re-decide."""
+
+    def refresh_policy(self) -> object:
+        """Re-decide queued and running work (after a restore)."""
+
+    def stall_running(self) -> int:
+        """Hang every running kernel; returns how many."""
+
 
 class _Service:
-    """One normal read or write in service, advanced by event callbacks.
+    """One normal read or write in service: a single link transfer.
 
-    Each stage — the disk read, the link transfer — starts with the
-    request's size and returns the event it completes with; when that
-    fires the next stage starts, and after the last one the server
-    replies.  :meth:`cancel` — on a crash, a client cancel or a
-    deadline — stops the chain at the next stage boundary: a transfer
-    already handed to the link still drains, but nothing is delivered.
+    The transfer starts with the service and the server replies when
+    it lands.  :meth:`cancel` — on a crash, a client cancel or a
+    deadline — suppresses that reply: a transfer already handed to the
+    link still drains, but nothing is delivered.
     """
 
-    __slots__ = ("server", "request", "stages", "step", "live")
+    __slots__ = ("server", "request", "live")
 
-    def __init__(
-        self, server: IOServer, request: IORequest, stages: Tuple[_Stage, ...]
-    ) -> None:
+    def __init__(self, server: IOServer, request: IORequest) -> None:
         self.server = server
         self.request = request
-        self.stages = stages
-        self.step = 0
         self.live = True
+        callbacks = server.link.transfer(request.size).callbacks
+        assert callbacks is not None, "the link returned a processed event"
+        callbacks.append(self._landed)
 
     def cancel(self) -> None:
-        """Stop before the next stage; idempotent."""
+        """Deliver nothing when the transfer lands; idempotent."""
         self.live = False
 
-    def advance(self, _event: Optional[Event] = None) -> None:
-        """Start the next stage, or reply after the last one."""
-        if not self.live:
-            return
-        if self.step == len(self.stages):
+    def _landed(self, _event: Event) -> None:
+        if self.live:
             self.server._complete(self.request)
-            return
-        stage = self.stages[self.step]
-        self.step += 1
-        callbacks = stage(self.request.size).callbacks
-        assert callbacks is not None, "a stage returned a processed event"
-        callbacks.append(self.advance)
 
 
 class IOServer:
@@ -108,7 +113,6 @@ class IOServer:
         node: StorageNode,
         link: Link,
         mds: MetadataServer,
-        config: ClusterConfig,
         server_index: int = 0,
         admission: Optional[AdmissionController] = None,
     ) -> None:
@@ -116,7 +120,6 @@ class IOServer:
         self.node = node
         self.link = link
         self.mds = mds
-        self.config = config
         self.server_index = server_index
         #: Overload protection on intake (None accepts everything).
         self.admission = admission
@@ -137,20 +140,12 @@ class IOServer:
         #: Service handle per rid for normal/write requests, so a
         #: crash, client cancel or deadline can stop them mid-service.
         self._service: Dict[int, _Service] = {}
-        # Service stages per kind: a read leaves the disk (when
-        # modelled) before it crosses the NIC; a write crosses the NIC
-        # first and then lands on disk at the same cost.
-        disk: Tuple[_Stage, ...] = (node.disk_read,) if config.model_disk else ()
-        self._stages: Dict[IOKind, Tuple[_Stage, ...]] = {
-            IOKind.NORMAL: disk + (link.transfer,),
-            IOKind.WRITE: (link.transfer,) + disk,
-        }
         #: Armed deadline timer per rid (cancelled on any completion).
         self._deadline_timers: Dict[int, Timer] = {}
 
     # -- wiring ---------------------------------------------------------------
     def attach_active_handler(self, handler: ActiveHandler) -> None:
-        """Install the Active Storage Server for this node."""
+        """Install this node's active handler (its Active I/O Runtime)."""
         self.active_handler = handler
 
     # -- request intake ----------------------------------------------------------
@@ -158,7 +153,7 @@ class IOServer:
         """Accept a request into the queue and start service.
 
         Request messages themselves are tiny (no payload), so intake is
-        immediate; all modelled time is disk, CPU and data transfer.
+        immediate; all modelled time is CPU and data transfer.
         """
         if request.rid in self.outstanding:
             raise PVFSError(f"duplicate request id {request.rid}")
@@ -286,9 +281,8 @@ class IOServer:
         for service in self._service.values():
             service.cancel()
         self._service.clear()
-        handler = self.active_handler
-        if handler is not None and hasattr(handler, "on_crash"):
-            handler.on_crash(cause)
+        if self.active_handler is not None:
+            self.active_handler.on_crash(cause)
         for timer in self._deadline_timers.values():
             timer.cancel()
         self._deadline_timers.clear()
@@ -336,30 +330,45 @@ class IOServer:
         already defused and stopped listening on the reply event.
         Returns True if the request was still queued here.
         """
+        return self._withdraw(rid, "requests_cancelled", "cancelled") is not None
+
+    def _expire(self, rid: int) -> None:
+        """Deadline timer fired: withdraw the work, fail the reply typed."""
+        request = self._withdraw(rid, "deadline_expired", "deadline")
+        if request is not None and not request.reply.triggered:
+            request.reply.fail(
+                DeadlineExceeded(
+                    f"request {rid} exceeded its deadline on server "
+                    f"{self.node.name}"
+                )
+            )
+
+    def _withdraw(self, rid: int, counter: str, outcome: str) -> Optional[IORequest]:
+        """Take ``rid`` out of service without replying; None if not here.
+
+        Dequeues it, cancels its deadline timer and its normal-path
+        service, aborts its active work at the handler, counts it
+        under ``counter`` and closes its trace span with ``outcome``.
+        Inside :meth:`_expire` the timer being cancelled is the one
+        firing, which the engine has already taken off its queue.
+        """
         request = self._dequeue(rid)
+        if request is None:
+            return None
         timer = self._deadline_timers.pop(rid, None)
         if timer is not None:
             timer.cancel()
         service = self._service.pop(rid, None)
         if service is not None:
             service.cancel()
-        handler = self.active_handler
-        if (
-            request is not None
-            and request.is_active
-            and handler is not None
-            and hasattr(handler, "abort")
-        ):
-            handler.abort(rid)
-        if request is not None:
-            self.metrics.inc("requests_cancelled")
-            self.metrics.time_gauge("queue_length").set(len(self.outstanding))
-            tr = self.env.tracer
-            if tr.enabled:
-                tr.end(
-                    self.env.now, "request", self._track, rid=rid, outcome="cancelled"
-                )
-        return request is not None
+        if request.is_active and self.active_handler is not None:
+            self.active_handler.abort(rid)
+        self.metrics.inc(counter)
+        self.metrics.time_gauge("queue_length").set(len(self.outstanding))
+        tr = self.env.tracer
+        if tr.enabled:
+            tr.end(self.env.now, "request", self._track, rid=rid, outcome=outcome)
+        return request
 
     # -- overload protection (see repro.qos) ---------------------------------
     def _shed(self, request: IORequest) -> None:
@@ -390,7 +399,7 @@ class IOServer:
         here).  Returns how many requests were shed.
         """
         handler = self.active_handler
-        if handler is None or not hasattr(handler, "shed"):
+        if handler is None:
             return 0
         shed = 0
         for req in self.queued_active_requests():
@@ -400,33 +409,6 @@ class IOServer:
                 shed += 1
                 self.metrics.inc("requests_shed_queued")
         return shed
-
-    def _expire(self, rid: int) -> None:
-        """Deadline timer fired: cancel the work, fail the reply typed."""
-        self._deadline_timers.pop(rid, None)
-        request = self._dequeue(rid)
-        if request is None:
-            return
-        service = self._service.pop(rid, None)
-        if service is not None:
-            service.cancel()
-        handler = self.active_handler
-        if request.is_active and handler is not None and hasattr(handler, "abort"):
-            handler.abort(rid)
-        self.metrics.inc("deadline_expired")
-        self.metrics.time_gauge("queue_length").set(len(self.outstanding))
-        tr = self.env.tracer
-        if tr.enabled:
-            tr.end(
-                self.env.now, "request", self._track, rid=rid, outcome="deadline"
-            )
-        if not request.reply.triggered:
-            request.reply.fail(
-                DeadlineExceeded(
-                    f"request {rid} exceeded its deadline on server "
-                    f"{self.node.name}"
-                )
-            )
 
     # -- normal read / write path ------------------------------------------------
     def _serve(self, request: IORequest) -> None:
@@ -440,12 +422,10 @@ class IOServer:
                 rid=request.rid,
                 mode=request.kind.value,
             )
-        service = _Service(self, request, self._stages[request.kind])
-        self._service[request.rid] = service
-        service.advance()
+        self._service[request.rid] = _Service(self, request)
 
     def _complete(self, request: IORequest) -> None:
-        """Last stage done: store a write's bytes, then reply."""
+        """Transfer landed: store a write's bytes, then reply."""
         self._service.pop(request.rid, None)
         if request.kind is IOKind.WRITE and request.payload is not None:
             file = self.mds.lookup(request.fh.name)

@@ -53,7 +53,8 @@ class CircuitBreaker:
         Open breakers start admitting again after the cooldown, but
         only one probe at a time: the first ``allow`` moves to
         half-open and grants the probe; further calls are refused until
-        :meth:`on_success` / :meth:`on_failure` settles it.
+        :meth:`on_success` / :meth:`on_failure` settles it or
+        :meth:`release_probe` hands it back.
         """
         if self.state is BreakerState.CLOSED:
             return True
@@ -89,6 +90,17 @@ class CircuitBreaker:
         self.state = BreakerState.CLOSED
         self.failures = 0
         self._probe_in_flight = False
+
+    def release_probe(self) -> None:
+        """Hand back a granted half-open probe without settling it.
+
+        For an attempt that answered neither way: a hedge won, so the
+        primary was slow, not sick.  The breaker stays half-open and
+        the next :meth:`allow` grants a fresh probe; in any other
+        state this does nothing.
+        """
+        if self.state is BreakerState.HALF_OPEN:
+            self._probe_in_flight = False
 
     def on_failure(self, now: float) -> None:
         """A request on this path crashed, timed out, or was rejected."""

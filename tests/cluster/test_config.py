@@ -20,7 +20,6 @@ class TestNodeSpec:
         ("cores", 0),
         ("cores", -1),
         ("core_speed", 0),
-        ("disk_bandwidth", -5),
     ])
     def test_validation(self, field, value):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Environment, Interrupt
-from repro.cluster import NodeSpec, StorageNode
+from repro.cluster import NodeSpec
 from repro.cluster.node import ComputeInterrupted, CpuCores
 
 MB = 1024 * 1024
@@ -155,18 +155,3 @@ class TestCpuCores:
         with pytest.raises(ValueError):
             list(cpu.compute(10, 0))
 
-
-class TestNodes:
-    def test_disk_read_time(self, env):
-        node = StorageNode(env, "sn0", NodeSpec(disk_bandwidth=100 * MB))
-
-        def proc(env, node):
-            yield node.disk_read(50 * MB)
-            return env.now
-
-        assert env.run(until=env.process(proc(env, node))) == pytest.approx(0.5)
-
-    def test_disk_read_validation(self, env):
-        node = StorageNode(env, "sn0", NodeSpec())
-        with pytest.raises(ValueError):
-            node.disk_read(-1)

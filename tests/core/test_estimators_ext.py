@@ -3,8 +3,12 @@
 import pytest
 
 from repro.sim import Environment
-from repro.cluster import NodeProber, NodeSpec, StorageNode
-from repro.core import HysteresisDOSASEstimator, SmoothedDOSASEstimator
+from repro.cluster import NodeProber, NodeSpec, StorageNode, SystemProbe
+from repro.core import (
+    DOSASEstimator,
+    HysteresisDOSASEstimator,
+    SmoothedDOSASEstimator,
+)
 from repro.core.policy import Decision
 from repro.core.schemes import cost_models_from_registry
 from repro.kernels.registry import default_registry
@@ -85,6 +89,25 @@ class TestSmoothed:
         est = SmoothedDOSASEstimator(alpha=0.5, **_kw(prober))
         policy = est.evaluate([_request(env, fh, 128 * MB)], [])
         assert policy.decisions
+
+    @pytest.mark.parametrize("degrade_by_cpu", [False, True])
+    def test_core_derate_scales_the_estimate(self, setup, degrade_by_cpu):
+        """A straggler advertises its derated capability here too."""
+        _n, prober, _fh = setup
+        probe = SystemProbe(
+            time=0.0, cpu_utilization=0.0, io_queue_length=0,
+            active_queue_length=0, queued_bytes=0.0, active_bytes=0.0,
+            cpu_derate=0.25,
+        )
+        kw = dict(degrade_by_cpu=degrade_by_cpu, **_kw(prober))
+        smoothed = SmoothedDOSASEstimator(alpha=0.3, **kw)
+        base = DOSASEstimator(**kw)
+        assert smoothed.storage_capability("gaussian2d", probe) == (
+            base.storage_capability("gaussian2d", probe)
+        )
+        assert base.storage_capability("gaussian2d", probe) == (
+            pytest.approx(20 * MB)
+        )
 
 
 class TestHysteresis:

@@ -47,7 +47,7 @@ def _interrupt_at(env, runtime, request, at, cause="policy-demotion"):
 
 class TestInterruptBeforeFirstByte:
     def test_fresh_kernel_checkpoints_at_zero(self, env):
-        topo, mds, server, ass = build_stack(
+        topo, mds, server, runtime = build_stack(
             env, AlwaysOffloadEstimator,
             RuntimeConfig(invocation_overhead=0.1),
         )
@@ -57,7 +57,7 @@ class TestInterruptBeforeFirstByte:
         [request] = client.build_requests(
             fh, 0, 8 * MB, IOKind.ACTIVE, "sum", None
         )
-        _interrupt_at(env, ass.runtime, request, at=0.05)  # mid-overhead
+        _interrupt_at(env, runtime, request, at=0.05)  # mid-overhead
 
         def app():
             client.submit(request)
@@ -69,10 +69,10 @@ class TestInterruptBeforeFirstByte:
         assert reply.checkpoint.bytes_done == 0
         assert reply.offset == 0
         assert reply.remaining == 8 * MB
-        assert ass.runtime.stats["interrupted"] == 1
+        assert runtime.stats["interrupted"] == 1
 
     def test_resumed_kernel_keeps_prior_mark_exactly(self, env):
-        topo, mds, server, ass = build_stack(
+        topo, mds, server, runtime = build_stack(
             env, AlwaysOffloadEstimator,
             RuntimeConfig(invocation_overhead=0.1),
         )
@@ -80,7 +80,7 @@ class TestInterruptBeforeFirstByte:
         client = asc.pvfs
         already = 1 * MB
         request = _issue_resumed(client, mds.open("/f0"), 8 * MB, already)
-        _interrupt_at(env, ass.runtime, request, at=0.05)
+        _interrupt_at(env, runtime, request, at=0.05)
 
         def app():
             client.submit(request)
@@ -98,7 +98,7 @@ class TestInterruptBeforeFirstByte:
 class TestCheckpointQuantum:
     def test_progress_never_regresses_below_prior_mark(self, env):
         """Quantisation rounds down — but never below ``already``."""
-        topo, mds, server, ass = build_stack(env, AlwaysOffloadEstimator)
+        topo, mds, server, runtime = build_stack(env, AlwaysOffloadEstimator)
         asc, _ = make_asc(env, topo, server, mds)
         client = asc.pvfs
         # A prior mark deliberately off the quantum grid: rounding the
@@ -106,7 +106,7 @@ class TestCheckpointQuantum:
         already = 1 * MB + 4
         request = _issue_resumed(client, mds.open("/f0"), 8 * MB, already)
         speed = default_registry.get("sum").rate  # storage core_speed = 1
-        _interrupt_at(env, ass.runtime, request, at=2.0 / speed)  # ~2 bytes in
+        _interrupt_at(env, runtime, request, at=2.0 / speed)  # ~2 bytes in
 
         def app():
             client.submit(request)
@@ -121,7 +121,7 @@ class TestCheckpointQuantum:
         that is not item-aligned: the checkpoint must snap to a whole
         float64 boundary at or above the prior mark, and finishing from
         it must reproduce the fault-free result exactly."""
-        topo, mds, server, ass = build_stack(
+        topo, mds, server, runtime = build_stack(
             env, AlwaysOffloadEstimator,
             RuntimeConfig(execute_kernels=True),
         )
@@ -142,7 +142,7 @@ class TestCheckpointQuantum:
             client, mds.open("/f0"), 8 * MB, already, records=prior.records
         )
         # Interrupt ~37 bytes (4.6 items) past the mark.
-        _interrupt_at(env, ass.runtime, request, at=37.0 / kernel.rate)
+        _interrupt_at(env, runtime, request, at=37.0 / kernel.rate)
 
         def app():
             client.submit(request)

@@ -82,7 +82,7 @@ def one_server_client(env, breakers=None):
     mds = MetadataServer(1, 4 * MB)
     mds.create("/f", size=4 * MB)
     node = topo.storage_nodes[0]
-    server = IOServer(env, node, topo.link_for(node), mds, config)
+    server = IOServer(env, node, topo.link_for(node), mds)
     client = topo.compute_node(0)
     asc = ActiveStorageClient(env, client, PVFSClient(env, client, [server], mds),
                               breakers=breakers)

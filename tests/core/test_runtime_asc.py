@@ -11,13 +11,12 @@ import pytest
 from repro.sim import Environment
 from repro.cluster import ClusterTopology, NodeProber, NodeSpec, discfarm_config
 from repro.core.asc import ActiveStorageClient
-from repro.core.ass import ActiveStorageServer
 from repro.core.estimator import (
     AlwaysOffloadEstimator,
     DOSASEstimator,
     NeverOffloadEstimator,
 )
-from repro.core.runtime import RuntimeConfig
+from repro.core.runtime import ActiveIORuntime, RuntimeConfig
 from repro.core.schemes import cost_models_from_registry
 from repro.kernels.registry import default_registry
 from repro.pvfs import IOServer, MetadataServer, PVFSClient
@@ -31,7 +30,7 @@ def build_stack(env, estimator_factory, runtime_config=None, n_files=1,
     topo = ClusterTopology(env, config)
     mds = MetadataServer(1, config.stripe_size)
     server = IOServer(env, topo.storage_node(0),
-                      topo.link_for(topo.storage_node(0)), mds, config)
+                      topo.link_for(topo.storage_node(0)), mds)
     prober = NodeProber(server.node, server.queue_stats)
     if estimator_factory is DOSASEstimator:
         estimator = DOSASEstimator(
@@ -42,11 +41,11 @@ def build_stack(env, estimator_factory, runtime_config=None, n_files=1,
         )
     else:
         estimator = estimator_factory()
-    ass = ActiveStorageServer(env, server, estimator,
+    runtime = ActiveIORuntime(env, server, estimator,
                               config=runtime_config or RuntimeConfig())
     for i in range(n_files):
         mds.create(f"/f{i}", size=file_bytes, seed=i, meta=op_meta)
-    return topo, mds, server, ass
+    return topo, mds, server, runtime
 
 
 def make_asc(env, topo, server, mds, i=0, execute=False):
@@ -57,7 +56,7 @@ def make_asc(env, topo, server, mds, i=0, execute=False):
 
 class TestServedActive:
     def test_result_computed_on_server(self, env):
-        topo, mds, server, ass = build_stack(
+        topo, mds, server, runtime = build_stack(
             env, AlwaysOffloadEstimator,
             RuntimeConfig(execute_kernels=True),
         )
@@ -72,10 +71,10 @@ class TestServedActive:
         assert outcome.result == pytest.approx(expected)
         assert outcome.served_active == [True]
         assert outcome.demotions == 0
-        assert ass.stats["served_active"] == 1
+        assert runtime.stats["served_active"] == 1
 
     def test_timing_active_sum(self, env):
-        topo, mds, server, ass = build_stack(
+        topo, mds, server, runtime = build_stack(
             env, AlwaysOffloadEstimator, file_bytes=860 * MB,
         )
         asc, _ = make_asc(env, topo, server, mds)
@@ -90,7 +89,7 @@ class TestServedActive:
 
 class TestDemotedNewArrival:
     def test_never_offload_demotes_and_client_finishes(self, env):
-        topo, mds, server, ass = build_stack(
+        topo, mds, server, runtime = build_stack(
             env, NeverOffloadEstimator,
             RuntimeConfig(execute_kernels=True), file_bytes=8 * MB,
         )
@@ -107,7 +106,7 @@ class TestDemotedNewArrival:
         assert outcome.client_bytes_read == 8 * MB
         # Time = full transfer + client compute.
         assert t == pytest.approx(8 / 118 + 8 / 860, rel=1e-3)
-        assert ass.stats["demoted_new"] + ass.stats["demoted_queued"] == 1
+        assert runtime.stats["demoted_new"] + runtime.stats["demoted_queued"] == 1
 
 
 class TestInterruptAndMigrate:
@@ -116,7 +115,7 @@ class TestInterruptAndMigrate:
         periodic probe demotes everything; the running kernel
         checkpoints; the client resumes from the checkpoint and the
         final image is exact."""
-        topo, mds, server, ass = build_stack(
+        topo, mds, server, runtime = build_stack(
             env, DOSASEstimator,
             RuntimeConfig(execute_kernels=True),
             n_files=8, file_bytes=2 * MB, op_meta={"width": 512},
@@ -137,7 +136,7 @@ class TestInterruptAndMigrate:
         from repro.sim.events import AllOf
         env.run(until=AllOf(env, procs))
 
-        assert ass.stats["interrupted"] >= 1
+        assert runtime.stats["interrupted"] >= 1
         from repro.kernels import get_kernel
         g = get_kernel("gaussian2d")
         for i, p in enumerate(procs):
@@ -147,7 +146,7 @@ class TestInterruptAndMigrate:
 
     def test_checkpoint_travels_in_reply(self, env):
         """Timing-only mode still carries bytes_done through demotion."""
-        topo, mds, server, ass = build_stack(
+        topo, mds, server, runtime = build_stack(
             env, DOSASEstimator, RuntimeConfig(), n_files=8,
             file_bytes=128 * MB, probe_period=0.05,
         )
@@ -163,7 +162,7 @@ class TestInterruptAndMigrate:
         procs += [env.process(app(i, 0.2)) for i in range(1, 8)]
         from repro.sim.events import AllOf
         env.run(until=AllOf(env, procs))
-        assert ass.stats["interrupted"] >= 1
+        assert runtime.stats["interrupted"] >= 1
         # The interrupted request resumed client-side.  All 8 demoted
         # requests share the NIC, so the bound is the whole-batch TS
         # time (8 serialised transfers + one client compute) — the
@@ -190,7 +189,7 @@ class TestRuntimeConfigValidation:
 
 class TestKernelSlots:
     def test_two_slots_halve_active_makespan(self, env):
-        topo, mds, server, ass = build_stack(
+        topo, mds, server, runtime = build_stack(
             env, AlwaysOffloadEstimator,
             RuntimeConfig(kernel_slots=2), n_files=4, file_bytes=80 * MB,
         )

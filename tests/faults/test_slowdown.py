@@ -107,7 +107,7 @@ class TestUnknownFaultKind:
         topo = ClusterTopology(env, config)
         mds = MetadataServer(1, config.stripe_size)
         server = IOServer(env, topo.storage_node(0),
-                          topo.link_for(topo.storage_node(0)), mds, config)
+                          topo.link_for(topo.storage_node(0)), mds)
         return FaultInjector(env, servers=[server], schedule=FaultSchedule(
             name="empty", events=(), retry=slowdown().retry, horizon=1.0,
         ))

@@ -14,9 +14,8 @@ import pytest
 from repro.cluster import ClusterTopology, discfarm_config
 from repro.cluster.config import MB
 from repro.core.asc import ActiveStorageClient, RetryExhausted, RetryPolicy
-from repro.core.ass import ActiveStorageServer
 from repro.core.estimator import AlwaysOffloadEstimator
-from repro.core.runtime import RuntimeConfig
+from repro.core.runtime import ActiveIORuntime, RuntimeConfig
 from repro.pvfs import IOServer, MetadataServer, PVFSClient
 from repro.pvfs.server import ServerUnavailable
 from repro.sim import Environment
@@ -32,12 +31,12 @@ def build(env, size=64 * MB, execute=True):
     topo = ClusterTopology(env, config)
     mds = MetadataServer(2, 1 * MB)
     servers = [
-        IOServer(env, node, topo.link_for(node), mds, config, server_index=i)
+        IOServer(env, node, topo.link_for(node), mds, server_index=i)
         for i, node in enumerate(topo.storage_nodes)
     ]
     for server in servers:
-        ActiveStorageServer(env, server, AlwaysOffloadEstimator(),
-                            config=RuntimeConfig(execute_kernels=execute))
+        ActiveIORuntime(env, server, AlwaysOffloadEstimator(),
+                        config=RuntimeConfig(execute_kernels=execute))
     mds.create("/wide", size=size, seed=7)
     node = topo.compute_node(0)
     asc = ActiveStorageClient(env, node, PVFSClient(env, node, servers, mds),

@@ -193,7 +193,7 @@ def test_bare_normal_read_spawns_no_process(counters):
     mds = MetadataServer(1, 4 * MB)
     mds.create("/a", size=8 * MB)
     node = topo.storage_nodes[0]
-    server = IOServer(env, node, topo.link_for(node), mds, config)
+    server = IOServer(env, node, topo.link_for(node), mds)
     request = IORequest(
         rid=next_request_id(), parent_id=0, kind=IOKind.NORMAL,
         fh=mds.open("/a"), offset=0, size=8 * MB, operation=None,

@@ -14,9 +14,8 @@ from repro.sim import Environment
 from repro.sim.events import AllOf
 from repro.cluster import ClusterTopology, NodeProber, discfarm_config
 from repro.core.asc import ActiveStorageClient
-from repro.core.ass import ActiveStorageServer
 from repro.core.estimator import AlwaysOffloadEstimator, DOSASEstimator
-from repro.core.runtime import RuntimeConfig
+from repro.core.runtime import ActiveIORuntime, RuntimeConfig
 from repro.core.schemes import cost_models_from_registry
 from repro.kernels.registry import default_registry
 from repro.pvfs import IOServer, MetadataServer, PVFSClient
@@ -29,7 +28,7 @@ def build(env, n_storage=2, estimator="as", execute=True):
     topo = ClusterTopology(env, config)
     mds = MetadataServer(n_storage, 1 * MB)
     servers = [
-        IOServer(env, sn, topo.link_for(sn), mds, config, server_index=i)
+        IOServer(env, sn, topo.link_for(sn), mds, server_index=i)
         for i, sn in enumerate(topo.storage_nodes)
     ]
     for server in servers:
@@ -42,8 +41,8 @@ def build(env, n_storage=2, estimator="as", execute=True):
                 bandwidth=config.network_bandwidth,
                 probe_period=0.05,
             )
-        ActiveStorageServer(env, server, est,
-                            config=RuntimeConfig(execute_kernels=execute))
+        ActiveIORuntime(env, server, est,
+                        config=RuntimeConfig(execute_kernels=execute))
     return topo, mds, servers
 
 

@@ -6,9 +6,8 @@ import pytest
 from repro.sim import Environment
 from repro.cluster import ClusterTopology, discfarm_config
 from repro.core.asc import ActiveStorageClient
-from repro.core.ass import ActiveStorageServer
 from repro.core.estimator import AlwaysOffloadEstimator, NeverOffloadEstimator
-from repro.core.runtime import RuntimeConfig
+from repro.core.runtime import ActiveIORuntime, RuntimeConfig
 from repro.kernels import get_kernel
 from repro.pvfs import IOServer, MetadataServer, PVFSClient
 
@@ -21,9 +20,9 @@ def build(estimator_cls=AlwaysOffloadEstimator, execute=True):
     topo = ClusterTopology(env, config)
     mds = MetadataServer(1, config.stripe_size)
     server = IOServer(env, topo.storage_node(0),
-                      topo.link_for(topo.storage_node(0)), mds, config)
-    ActiveStorageServer(env, server, estimator_cls(),
-                        config=RuntimeConfig(execute_kernels=execute))
+                      topo.link_for(topo.storage_node(0)), mds)
+    ActiveIORuntime(env, server, estimator_cls(),
+                    config=RuntimeConfig(execute_kernels=execute))
     node = topo.compute_node(0)
     asc = ActiveStorageClient(env, node, PVFSClient(env, node, [server], mds),
                               execute_kernels=execute)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.sim import Environment
 from repro.cluster import ClusterTopology, discfarm_config
-from repro.core import ActiveStorageClient, ActiveStorageServer
+from repro.core import ActiveIORuntime, ActiveStorageClient
 from repro.core.estimator import AlwaysOffloadEstimator
 from repro.core.runtime import RuntimeConfig
 from repro.mpiio import (
@@ -29,9 +29,9 @@ def build(n_ranks=4, file_bytes=4 * MB, execute=True):
     topo = ClusterTopology(env, config)
     mds = MetadataServer(1, config.stripe_size)
     server = IOServer(env, topo.storage_node(0),
-                      topo.link_for(topo.storage_node(0)), mds, config)
-    ActiveStorageServer(env, server, AlwaysOffloadEstimator(),
-                        config=RuntimeConfig(execute_kernels=execute))
+                      topo.link_for(topo.storage_node(0)), mds)
+    ActiveIORuntime(env, server, AlwaysOffloadEstimator(),
+                    config=RuntimeConfig(execute_kernels=execute))
     mds.create("/shared", size=file_bytes, seed=6)
     contexts = []
     for i in range(n_ranks):

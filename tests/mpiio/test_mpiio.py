@@ -5,7 +5,7 @@ import pytest
 
 from repro.sim import Environment
 from repro.cluster import ClusterTopology, NodeProber, discfarm_config
-from repro.core import ActiveStorageClient, ActiveStorageServer
+from repro.core import ActiveIORuntime, ActiveStorageClient
 from repro.core.estimator import AlwaysOffloadEstimator, NeverOffloadEstimator
 from repro.core.runtime import RuntimeConfig
 from repro.mpiio import (
@@ -79,9 +79,9 @@ def build_ctx(env, estimator_cls=AlwaysOffloadEstimator, execute=True,
     topo = ClusterTopology(env, config)
     mds = MetadataServer(1, config.stripe_size)
     server = IOServer(env, topo.storage_node(0),
-                      topo.link_for(topo.storage_node(0)), mds, config)
-    ActiveStorageServer(env, server, estimator_cls(),
-                        config=RuntimeConfig(execute_kernels=execute))
+                      topo.link_for(topo.storage_node(0)), mds)
+    ActiveIORuntime(env, server, estimator_cls(),
+                    config=RuntimeConfig(execute_kernels=execute))
     mds.create("/data", size=file_bytes, seed=3)
     node = topo.compute_node(0)
     asc = ActiveStorageClient(env, node, PVFSClient(env, node, [server], mds),

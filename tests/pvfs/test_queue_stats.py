@@ -58,6 +58,9 @@ class QueuedActiveHandler:
     def abort(self, rid):
         return False
 
+    def on_crash(self, cause):
+        """Queued work dies with the server; nothing runs to stop."""
+
 
 def build(max_queue_depth=None):
     env = Environment()
@@ -70,7 +73,7 @@ def build(max_queue_depth=None):
     )
     node = topo.storage_nodes[0]
     server = IOServer(
-        env, node, topo.link_for(node), mds, config, admission=admission
+        env, node, topo.link_for(node), mds, admission=admission
     )
     server.attach_active_handler(QueuedActiveHandler(env, server))
     fh = FileHandle.for_file(mds.create("/a", size=64 * MB))

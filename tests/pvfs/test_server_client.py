@@ -23,15 +23,13 @@ from repro.pvfs.server import DeadlineExceeded, ServerCrashed
 MB = 1024 * 1024
 
 
-def build(n_storage=1, n_compute=2, stripe=4 * MB, **cfg_overrides):
+def build(n_storage=1, n_compute=2, stripe=4 * MB):
     env = Environment()
     config = discfarm_config(n_storage=n_storage, n_compute=n_compute)
-    if cfg_overrides:
-        config = config.with_(**cfg_overrides)
     topo = ClusterTopology(env, config)
     mds = MetadataServer(n_storage, stripe)
     servers = [
-        IOServer(env, sn, topo.link_for(sn), mds, config, server_index=i)
+        IOServer(env, sn, topo.link_for(sn), mds, server_index=i)
         for i, sn in enumerate(topo.storage_nodes)
     ]
     return env, topo, mds, servers
@@ -103,19 +101,6 @@ class TestNormalRead:
         with pytest.raises(PVFSError):
             # generator raises at construction time inside the call
             list(client.read(client.open("/a"), offset=0, size=11))
-
-    def test_disk_stage_when_modelled(self):
-        env, topo, mds, servers = build(model_disk=True)
-        mds.create("/a", size=118 * MB)
-        client = PVFSClient(env, topo.compute_node(0), servers, mds)
-
-        def app():
-            yield from client.read(client.open("/a"))
-            return env.now
-
-        t = env.run(until=env.process(app()))
-        disk_time = 118 / 500  # default disk bandwidth 500 MB/s
-        assert t == pytest.approx(1.0 + disk_time)
 
 
 class TestServerBookkeeping:
@@ -287,10 +272,9 @@ class TestServiceLifecycle:
 
     SIZE = 2 * MB
     WIRE = SIZE / (118 * MB)  # seconds on the NIC
-    DISK = SIZE / (500 * MB)  # seconds on the disk, when modelled
 
-    def start(self, kind=IOKind.NORMAL, deadline=None, payload=None, **cfg):
-        env, _topo, mds, servers = build(**cfg)
+    def start(self, kind=IOKind.NORMAL, deadline=None, payload=None):
+        env, _topo, mds, servers = build()
         mds.create("/a", size=self.SIZE, writable=kind is IOKind.WRITE)
         server = servers[0]
         request = IORequest(
@@ -345,16 +329,6 @@ class TestServiceLifecycle:
         self.assert_settled(server)
         assert server.link.bytes_transferred == self.SIZE
 
-    def test_deadline_expires_in_disk_stage(self):
-        env, _mds, server, _request, outcomes = self.start(
-            deadline=self.DISK / 2, model_disk=True
-        )
-        env.run()
-        assert len(outcomes) == 1
-        assert isinstance(outcomes[0].value, DeadlineExceeded)
-        self.assert_settled(server)
-        assert server.link.bytes_transferred == 0  # never reached the NIC
-
     def test_interrupted_write_stores_nothing(self):
         payload = np.arange(self.SIZE // 8, dtype=np.float64) + 1.0
         env, mds, server, _request, outcomes = self.start(
@@ -372,13 +346,11 @@ class TestServiceLifecycle:
     def test_write_completes_into_the_file(self):
         payload = np.arange(self.SIZE // 8, dtype=np.float64) + 1.0
         env, mds, server, _request, outcomes = self.start(
-            kind=IOKind.WRITE, payload=payload, model_disk=True
+            kind=IOKind.WRITE, payload=payload
         )
         env.run()
         assert len(outcomes) == 1 and outcomes[0].value.completed
-        assert outcomes[0].value.finished_at == pytest.approx(
-            self.WIRE + self.DISK
-        )
+        assert outcomes[0].value.finished_at == pytest.approx(self.WIRE)
         assert server._service == {}
         stored = mds.lookup("/a").read_bytes_as_array(0, self.SIZE)
         assert np.array_equal(stored, payload)

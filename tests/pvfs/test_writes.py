@@ -16,7 +16,7 @@ def build(n_storage=1, stripe=1 * MB):
     topo = ClusterTopology(env, config)
     mds = MetadataServer(n_storage, stripe)
     servers = [
-        IOServer(env, sn, topo.link_for(sn), mds, config, server_index=i)
+        IOServer(env, sn, topo.link_for(sn), mds, server_index=i)
         for i, sn in enumerate(topo.storage_nodes)
     ]
     client = PVFSClient(env, topo.compute_node(0), servers, mds)

@@ -51,6 +51,26 @@ class TestStateMachine:
         assert not b.allow(1.0)
         assert b.allow(1.1)  # 0.6 + cooldown
 
+    def test_released_probe_is_granted_again(self):
+        b = CircuitBreaker(threshold=1, cooldown=0.5)
+        b.on_failure(0.0)
+        assert b.allow(0.5)  # the probe
+        b.release_probe()  # answered neither way: slow, not sick
+        assert b.state is BreakerState.HALF_OPEN
+        assert b.trips == 1
+        assert b.allow(0.6)  # a fresh probe
+        assert not b.allow(0.6)
+
+    @pytest.mark.parametrize("failures", [0, 1])
+    def test_release_outside_half_open_changes_nothing(self, failures):
+        b = CircuitBreaker(threshold=1, cooldown=0.5)
+        for _ in range(failures):
+            b.on_failure(0.0)
+        state = b.state
+        b.release_probe()
+        assert b.state is state
+        assert b.allow(0.1) is (state is BreakerState.CLOSED)
+
     def test_straggler_failure_while_open_changes_nothing(self):
         b = CircuitBreaker(threshold=1, cooldown=0.5)
         b.on_failure(0.0)

@@ -49,7 +49,7 @@ def build(max_queue_depth=2, **admission_kwargs):
     )
     server = IOServer(
         env, topo.storage_nodes[0], topo.link_for(topo.storage_nodes[0]),
-        mds, config, server_index=0, admission=admission,
+        mds, server_index=0, admission=admission,
     )
     server.attach_active_handler(StubHandler(env, server))
     file = mds.create("/a", size=64 * MB)

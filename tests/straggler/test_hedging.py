@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.cluster import ClusterTopology, discfarm_config
 from repro.cluster.config import MB
-from repro.core.asc import RetryPolicy
+from repro.core.asc import ActiveStorageClient, RetryPolicy
 from repro.core.schemes import Scheme, WorkloadSpec, run_scheme
 from repro.faults import FaultEvent, FaultKind, FaultSchedule, stragglers
+from repro.pvfs import IOServer, MetadataServer, PVFSClient
 from repro.pvfs.client import reset_parent_ids
 from repro.pvfs.requests import reset_request_ids
+from repro.qos import BreakerBoard, BreakerState
+from repro.scenario import get_scenario, run_scenario
+from repro.straggler import LatencyBoard, StragglerConfig, StragglerDispatcher
 
 RETRY = RetryPolicy(timeout=20.0, max_retries=6)
 
@@ -40,8 +45,6 @@ class TestDeterminism:
         assert a.qos_stats == b.qos_stats
 
     def test_same_seed_byte_identical_bench_report(self):
-        from repro.scenario import get_scenario, run_scenario
-
         sc = get_scenario("straggler-tail")
         first = run_scenario(sc, seeds=(5,)).to_json()
         assert first == run_scenario(sc, seeds=(5,)).to_json()
@@ -101,3 +104,59 @@ class TestHedgeWinnerThenLoserCrash:
                       n_storage=2, arrival_spacing=0.1)
         assert [float(v) for v in faulty.results] == \
             [float(v) for v in healthy.results]
+
+
+class TestHedgeWinDuringHalfOpen:
+    """A hedge that beats a half-open primary hands the probe back.
+
+    The primary was slow, not sick, so its breaker stays half-open; a
+    probe left in flight would refuse every later attempt on that path
+    and a protected run could die of ``breaker-open`` fast-fails.
+    """
+
+    def _client(self, env):
+        config = discfarm_config(n_storage=2, n_compute=1)
+        topo = ClusterTopology(env, config)
+        mds = MetadataServer(2, 4 * MB)
+        servers = [
+            IOServer(env, node, topo.link_for(node), mds, server_index=i)
+            for i, node in enumerate(topo.storage_nodes)
+        ]
+        servers[0].link.degrade(0.01)  # the primary: 100x slow
+        fh = mds.open(mds.create("/r", size=4 * MB, n_servers=1,
+                                 n_replicas=2).name)
+        node = topo.compute_node(0)
+        asc = ActiveStorageClient(
+            env, node, PVFSClient(env, node, servers, mds),
+            breakers=BreakerBoard(threshold=1, cooldown=0.3),
+            dispatcher=StragglerDispatcher(
+                LatencyBoard(StragglerConfig(hedge_delay_floor=0.05))
+            ),
+        )
+        return asc, fh
+
+    def test_later_allow_grants_a_probe(self, env):
+        asc, fh = self._client(env)
+        breaker = asc.breakers.for_server(0)
+        breaker.on_failure(env.now)  # open; cooled down by t = 0.3
+
+        def app():
+            yield env.timeout(0.5)
+            yield from asc.read(fh, retry=RETRY)
+
+        env.run(until=env.process(app()))
+        assert asc.stats["hedges_won"] == 1
+        assert breaker.state is BreakerState.HALF_OPEN
+        assert breaker.allow(env.now)
+
+    @pytest.mark.parametrize("name,seed", [
+        ("chaos-soak", 6),
+        ("kitchen-sink-chaos", 26),
+    ])
+    def test_protected_runs_survive(self, name, seed):
+        """Seeds whose protected runs used to die of a stuck probe."""
+        report = run_scenario(get_scenario(name), seeds=(seed,))
+        protected = [run for sr in report.seeds for run in sr.runs
+                     if run.mode == "protected"]
+        assert protected and not any(run.failed for run in protected)
+        assert report.clean, report.violations()
