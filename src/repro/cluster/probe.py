@@ -8,6 +8,13 @@ produces one from a storage node plus its attached I/O queue.
 The snapshot carries what the estimator reads: CPU utilisation, the
 core derate and the queue (n, k, D, D_A).  Memory is not modelled —
 no modelled component allocates any, and paper Eq. 1–11 do not use it.
+
+Every probe period builds one snapshot, so :class:`SystemProbe` is a
+slotted dataclass rather than a frozen one: a frozen constructor sets
+each field through ``object.__setattr__`` and costs nearly three times
+as much.  Nothing mutates or hashes a snapshot; the probe-loss replay
+and the smoothed estimator derive new ones with
+:func:`dataclasses.replace`, which runs the same range checks.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Callable, Optional
 from repro.cluster.node import StorageNode
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SystemProbe:
     """One snapshot of a storage node's state.
 
@@ -108,11 +115,6 @@ class NodeProber:
         """Drop live probes until ``time`` (probe-loss fault)."""
         self._suppressed_until = max(self._suppressed_until, time)
 
-    @property
-    def suppressed(self) -> bool:
-        """True while live probes are being lost."""
-        return self.node.env.now < self._suppressed_until
-
     def probe(self) -> SystemProbe:
         """Take and keep a snapshot now.
 
@@ -121,13 +123,15 @@ class NodeProber:
         keeps the last real one — the estimator sees old state exactly
         as it would if the probe message were dropped.
         """
-        tr = self.node.env.tracer
-        if self.suppressed:
+        node = self.node
+        now = node.env.now
+        tr = node.env.tracer
+        if now < self._suppressed_until:
             if self._last is not None:
                 snap = replace(self._last, stale=True)
             else:
                 snap = SystemProbe(
-                    time=self.node.env.now,
+                    time=now,
                     cpu_utilization=0.0,
                     io_queue_length=0,
                     active_queue_length=0,
@@ -137,31 +141,32 @@ class NodeProber:
                 )
             if tr.enabled:
                 tr.instant(
-                    self.node.env.now,
+                    now,
                     "probe",
-                    f"probe:{self.node.name}",
+                    f"probe:{node.name}",
                     stale=True,
                     n=snap.io_queue_length,
                     k=snap.active_queue_length,
                 )
             return snap
         n, k, total_bytes, active_bytes = self.queue_inspector()
+        cpu = node.cpu
         snap = SystemProbe(
-            time=self.node.env.now,
-            cpu_utilization=min(1.0, self.node.cpu.utilization()),
+            time=now,
+            cpu_utilization=min(1.0, cpu.utilization()),
             io_queue_length=int(n),
             active_queue_length=int(k),
             queued_bytes=float(total_bytes),
             active_bytes=float(active_bytes),
-            running_kernels=self.node.cpu.busy_cores,
-            cpu_derate=self.node.cpu.derate_factor,
+            running_kernels=cpu.busy_cores,
+            cpu_derate=cpu.derate_factor,
         )
         self._last = snap
         if tr.enabled:
             tr.instant(
-                self.node.env.now,
+                now,
                 "probe",
-                f"probe:{self.node.name}",
+                f"probe:{node.name}",
                 n=snap.io_queue_length,
                 k=snap.active_queue_length,
                 D=snap.queued_bytes,

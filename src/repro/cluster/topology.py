@@ -3,15 +3,14 @@
 Builds the full machine from a :class:`~repro.cluster.config.ClusterConfig`:
 compute nodes, storage nodes, and one network link per storage node (the
 paper's bottleneck is the storage node's NIC, shared by every compute
-node it serves — Figure 1).  A :mod:`networkx` graph mirror is kept for
-introspection, path queries and visual debugging.
+node it serves — Figure 1).  The node lists and the link table are the
+whole topology: there is no graph mirror, since every path is one
+compute node, the switch and one storage node's NIC.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import networkx as nx
+from typing import Dict, List
 
 from repro.sim.engine import Environment
 from repro.cluster.config import ClusterConfig
@@ -66,19 +65,6 @@ class ClusterTopology:
             for i, sn in enumerate(self.storage_nodes)
         }
 
-        self.graph = self._build_graph()
-
-    def _build_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_node("switch", kind="switch")
-        for cn in self.compute_nodes:
-            g.add_node(cn.name, kind="compute", cores=cn.spec.cores)
-            g.add_edge(cn.name, "switch", bandwidth=self.config.network_bandwidth)
-        for sn in self.storage_nodes:
-            g.add_node(sn.name, kind="storage", cores=sn.spec.cores)
-            g.add_edge(sn.name, "switch", bandwidth=self.config.network_bandwidth)
-        return g
-
     # -- lookup ----------------------------------------------------------
     def storage_node(self, index: int) -> StorageNode:
         """Storage node by index."""
@@ -91,13 +77,6 @@ class ClusterTopology:
     def link_for(self, storage: StorageNode) -> Link:
         """The NIC link of ``storage``."""
         return self.links[storage.name]
-
-    def path_bandwidth(self, a: str, b: str) -> float:
-        """Min edge bandwidth on the shortest path between two nodes."""
-        path = nx.shortest_path(self.graph, a, b)
-        return min(
-            self.graph.edges[u, v]["bandwidth"] for u, v in zip(path, path[1:])
-        )
 
     def assignment(self) -> Dict[str, str]:
         """Round-robin mapping of compute node → home storage node.

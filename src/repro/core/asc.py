@@ -217,7 +217,7 @@ class ActiveStorageClient:
         retry_budget: Optional[RetryBudget] = None,
         pace: Optional[TokenBucket] = None,
         deadline: Optional[float] = None,
-        rng: Optional[random.Random] = None,
+        backoff_seed: Optional[int] = None,
         dispatcher: Optional[StragglerDispatcher] = None,
     ) -> None:
         self.env = env
@@ -230,12 +230,15 @@ class ActiveStorageClient:
         #: Overload protection (see repro.qos): per-server circuit
         #: breakers, the run-global retry-token pool, submit pacing,
         #: the relative deadline stamped on every request, and the
-        #: seeded RNG full-jitter backoff draws from.
+        #: seed of the stream full-jitter backoff draws from.  Most
+        #: clients never draw, so the stream is seeded at the first
+        #: draw (see :meth:`_backoff`).
         self.breakers = breakers
         self.retry_budget = retry_budget
         self.pace = pace
         self.deadline = deadline
-        self.rng = rng
+        self.backoff_seed = backoff_seed
+        self._backoff_rng: Optional[random.Random] = None
         #: Straggler-aware routing (see repro.straggler): when set,
         #: retried pieces are dispatched over replica candidate sets
         #: with hedged backups; ``None`` keeps the classic
@@ -456,7 +459,7 @@ class ActiveStorageClient:
                     gave_up = "retry budget exhausted"
                     break
                 self.stats["retries"] += 1
-                yield self.env.timeout(retry.backoff(attempt - 1, rng=self.rng))
+                yield self.env.timeout(self._backoff(retry, attempt - 1))
                 if read is not None and read.abandoned:
                     gave_up = "read abandoned"
                     break
@@ -746,6 +749,16 @@ class ActiveStorageClient:
                 server=self.pvfs.server_for(request).node.name,
             )
         return IOReply.demoted(request, checkpoint, self.env.now)
+
+    def _backoff(self, retry: RetryPolicy, attempt: int) -> float:
+        """Delay before re-issue ``attempt``, seeding the stream at its first draw."""
+        if (
+            retry.full_jitter
+            and self._backoff_rng is None
+            and self.backoff_seed is not None
+        ):
+            self._backoff_rng = random.Random(self.backoff_seed)
+        return retry.backoff(attempt, rng=self._backoff_rng)
 
     def _abandon(
         self,

@@ -43,7 +43,11 @@ class ContentionEstimator(abc.ABC):
         requests: List[IORequest],
         running: List[IORequest],
     ) -> SchedulingPolicy:
-        """Produce a policy for queued (+ running) active requests."""
+        """Produce a policy for queued (+ running) active requests.
+
+        ``requests`` is the runtime's live pending list: read it, but
+        neither keep nor change it.
+        """
 
     def start(self, env: Environment, runtime: "ActiveIORuntime") -> None:
         """Hook for estimators that run a periodic probe process."""
@@ -196,7 +200,6 @@ class DOSASEstimator(ContentionEstimator):
         ``interrupt_running``.
         """
         probe = self.prober.probe()
-        everything = list(running) + list(requests)
         if self._node_unreachable(probe):
             # Telemetry loss reads as degradation: demote everything so
             # clients stop depending on a node whose state is unknown.
@@ -205,12 +208,13 @@ class DOSASEstimator(ContentionEstimator):
                 default=Decision.NORMAL,
                 probe=probe,
             )
-            for req in everything:
+            for req in running + requests:
                 policy.decisions[req.rid] = Decision.NORMAL
             policy.interrupt_running = bool(running)
             self.objective_values.append(policy.objective_value)
             return policy
-        if not everything:
+        if not (running or requests):
+            # Most probe periods find the queue idle: nothing to solve.
             policy = SchedulingPolicy(
                 generated_at=probe.time, default=Decision.ACTIVE, probe=probe
             )
@@ -225,18 +229,24 @@ class DOSASEstimator(ContentionEstimator):
         # mixes it is strictly tighter than per-op subproblems (which
         # would double-charge the max term) — an extension documented
         # in DESIGN.md.
+        everything = running + requests
         policy = SchedulingPolicy(
             generated_at=probe.time, default=Decision.ACTIVE, probe=probe
         )
+        # S_{C,op} and C_{C,op} depend on the operation and the probe
+        # only: one cost model per operation serves every request.
+        models: Dict[str, CostModel] = {}
         costs: List[RequestCost] = []
         for req in everything:
             op = req.operation or ""
-            model = CostModel(
-                kernel=self._model(op),
-                storage_capability=self.storage_capability(op, probe),
-                compute_capability=self.compute_capability_for(op),
-                bandwidth=self.bandwidth,
-            )
+            model = models.get(op)
+            if model is None:
+                model = models[op] = CostModel(
+                    kernel=self._model(op),
+                    storage_capability=self.storage_capability(op, probe),
+                    compute_capability=self.compute_capability_for(op),
+                    bandwidth=self.bandwidth,
+                )
             d = self._remaining_bytes(req)
             costs.append(
                 RequestCost(

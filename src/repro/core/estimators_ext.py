@@ -45,6 +45,9 @@ class SmoothedDOSASEstimator(DOSASEstimator):
             raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
         self.alpha = float(alpha)
         self._smoothed_cpu: Optional[float] = None
+        #: The snapshot the EWMA last stepped on: one evaluation asks
+        #: once per operation, but one probe is one sample.
+        self._sampled: Optional[SystemProbe] = None
 
     def _smooth(self, previous: Optional[float], sample: float) -> float:
         if previous is None:
@@ -52,9 +55,15 @@ class SmoothedDOSASEstimator(DOSASEstimator):
         return self.alpha * sample + (1 - self.alpha) * previous
 
     def storage_capability(self, op: str, probe: SystemProbe) -> float:
-        """The base estimate, read at the smoothed CPU utilisation."""
-        cpu = self._smooth(self._smoothed_cpu, probe.cpu_utilization)
-        self._smoothed_cpu = cpu
+        """The base estimate, read at the smoothed CPU utilisation.
+
+        The EWMA steps once per snapshot, however many operations the
+        evaluation of that snapshot asks about.
+        """
+        cpu = self._smoothed_cpu
+        if probe is not self._sampled or cpu is None:
+            cpu = self._smooth(cpu, probe.cpu_utilization)
+            self._smoothed_cpu, self._sampled = cpu, probe
         return super().storage_capability(
             op, replace(probe, cpu_utilization=cpu)
         )

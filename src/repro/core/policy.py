@@ -23,9 +23,12 @@ class Decision(enum.Enum):
     NORMAL = "normal"    # demote: serve as a normal read
 
 
-@dataclass
+@dataclass(slots=True)
 class SchedulingPolicy:
     """A CE decision covering the active requests seen at probe time.
+
+    Slotted like :class:`~repro.cluster.probe.SystemProbe`: every
+    evaluation builds one.
 
     Attributes
     ----------

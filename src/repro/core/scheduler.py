@@ -12,8 +12,9 @@ Four solvers:
 ``ExhaustiveScheduler``
     The paper's own method (Eq. 9–11): build the k×2^k matrix A of all
     assignments and evaluate ``X·A + Y·B + max(Z∘B)/C`` column-wise.
-    Vectorised with numpy exactly as the paper writes it.  Exponential —
-    fine for the paper's k ≤ 64-situation grids but capped at k ≤ 20.
+    Vectorised with numpy exactly as the paper writes it, and kept so:
+    it is the paper's Eq. 9–11 verbatim.  Exponential — fine for the
+    paper's k ≤ 64-situation grids but capped at k ≤ 20.
 ``BranchAndBoundScheduler``
     Exact solver standing in for the paper's "general constraint
     programming solver" remark, with admissible lower bounds.  Handles
@@ -23,7 +24,9 @@ Four solvers:
     on M = max demoted weight.  Given M, every request with w_i > M
     must be active and every other request independently picks
     min(x_i, y_i); scan all k+1 candidate M values.  The default in
-    the DOSAS estimator.
+    the DOSAS estimator, written in plain Python: a probed queue holds
+    at most a few dozen requests, where building numpy arrays on every
+    solve costs more than the scan itself.
 ``GreedyScheduler``
     Naive baseline ignoring the z term (a_i = [x_i < y_i]); used by the
     ablation bench to show why z matters.
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-import numpy.typing as npt
 
 from repro.core.model import SchedulingInstance
 
@@ -147,54 +149,47 @@ class ThresholdScheduler(Scheduler):
     name = "threshold"
 
     def solve(self, instance: SchedulingInstance) -> SchedulerDecision:
-        k = instance.k
-        if k == 0:
+        costs = instance.costs
+        if not costs:
             return self._empty()
-        w = instance.w
-        x = instance.x
-        y = instance.y
+        xyw = [(c.x_i, c.y_i, c.w_i) for c in costs]
+        w = [c.w_i for c in costs]
 
         best_value = float("inf")
-        best_assignment: Optional[npt.NDArray[np.int64]] = None
+        best_assignment: Optional[List[int]] = None
         evaluations = 0
 
         candidates = {0.0}
-        candidates.update(float(v) for v in w)
+        candidates.update(w)
         for m_val in sorted(candidates):
             evaluations += 1
-            a = np.ones(k, dtype=np.int64)
             if m_val == 0.0:
                 # Nothing costly demoted (zero-weight requests free).
-                free = w == 0.0
-                a[free] = (x[free] < y[free]).astype(np.int64)
+                a = [1 if wi != 0.0 or xi < yi else 0 for xi, yi, wi in xyw]
             else:
-                must_active = w > m_val
-                eligible = ~must_active
-                choose_demote = y < x
-                a[eligible & choose_demote] = 0
+                # Eligible (w_i ≤ M) requests demote when y_i < x_i.
+                a = [0 if wi <= m_val and yi < xi else 1 for xi, yi, wi in xyw]
                 # Witness: some demoted request must have weight ==
                 # m_val, otherwise this M is an overestimate and a
                 # smaller candidate covers the true optimum — forcing
                 # the min-regret witness keeps every candidate's value
                 # a consistent upper bound.
-                witnesses = eligible & (w == m_val)
-                if not witnesses.any():
+                witnesses = [i for i, wi in enumerate(w) if wi == m_val]
+                if not witnesses:
                     continue
-                if not (witnesses & (a == 0)).any():
-                    idx = np.flatnonzero(witnesses)
-                    regret = x[idx] - y[idx]
-                    pick = idx[int(np.argmax(regret))]
-                    a[pick] = 0
+                if all(a[i] for i in witnesses):
+                    # ``max`` keeps the first maximal regret x_i - y_i.
+                    a[max(witnesses, key=lambda i: costs[i].x_i - costs[i].y_i)] = 0
             # Re-evaluate exactly through the model (guards against any
             # bookkeeping slip and keeps the reported value canonical).
-            exact = instance.value([int(v) for v in a])
+            exact = instance.value(a)
             if exact < best_value - 1e-15:
                 best_value = exact
-                best_assignment = a.copy()
+                best_assignment = a
 
         assert best_assignment is not None
         return SchedulerDecision(
-            assignment=tuple(int(v) for v in best_assignment),
+            assignment=tuple(best_assignment),
             value=best_value,
             evaluations=evaluations,
         )

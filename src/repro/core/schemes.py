@@ -24,7 +24,6 @@ that driver; :func:`repro.core.planrun.run_plan` lowers a multi-app
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
@@ -448,7 +447,7 @@ class System:
             deadline=qos.deadline if qos is not None else None,
             # Per-client seeded stream so full-jitter backoff is
             # deterministic yet de-synchronized across clients.
-            rng=random.Random(self.seed * 1_000_003 + 9973 * node),
+            backoff_seed=self.seed * 1_000_003 + 9973 * node,
             dispatcher=self.dispatcher,
         )
         self.ascs.append(asc)

@@ -100,11 +100,16 @@ class TestClusterTopology:
         assert topo.link_for(sn).name == "sn0.nic"
 
     def test_graph_structure(self, env):
+        """The star: compute nodes reach each storage node's one NIC."""
         topo = ClusterTopology(env, discfarm_config(n_storage=2, n_compute=4))
-        # star topology: every node connects through the switch
-        assert topo.graph.number_of_nodes() == 2 + 4 + 1
-        assert topo.graph.number_of_edges() == 6
-        assert topo.path_bandwidth("cn0", "sn1") == 118 * MB
+        assert [cn.name for cn in topo.compute_nodes] == ["cn0", "cn1", "cn2", "cn3"]
+        assert [sn.name for sn in topo.storage_nodes] == ["sn0", "sn1"]
+        assert sorted(topo.links) == ["sn0", "sn1"]
+        for sn in topo.storage_nodes:
+            link = topo.link_for(sn)
+            assert link.name == f"{sn.name}.nic"
+            assert link.bandwidth == 118 * MB
+        assert set(topo.assignment().values()) == {"sn0", "sn1"}
 
     def test_assignment_round_robin(self, env):
         topo = ClusterTopology(env, discfarm_config(n_storage=2, n_compute=4))

@@ -84,6 +84,35 @@ class TestSmoothed:
         # EWMA load = 0.2*0.5 = 0.1, not the raw 0.5.
         assert cap == pytest.approx(80 * MB * 0.9)
 
+    @pytest.mark.parametrize("ops", [
+        ["gaussian2d"],
+        ["gaussian2d"] * 4,
+        ["gaussian2d"] * 16,
+        ["gaussian2d", "sum"] * 2,
+    ], ids=["1", "4", "16", "mixed-4"])
+    def test_one_step_per_probe(self, env, setup, ops):
+        """One probe moves the EWMA once, however long the queue."""
+        node, prober, fh = setup
+        est = SmoothedDOSASEstimator(alpha=0.3, degrade_by_cpu=True,
+                                     **_kw(prober))
+        est.storage_capability("gaussian2d", prober.probe())  # EWMA at 0
+
+        def busy(env, node):
+            yield from node.cpu.compute(160 * MB, 80 * MB)
+
+        def sample(env):
+            yield env.timeout(0.5)
+            reqs = [_request(env, fh, 128 * MB) for _ in ops]
+            for req, op in zip(reqs, ops):
+                req.operation = op
+            return est.evaluate(reqs, [])
+
+        env.process(busy(env, node))
+        policy = env.run(until=env.process(sample(env)))
+        assert policy.probe.cpu_utilization == 0.5
+        # 0.3 * 0.5 + 0.7 * 0.0, one step.
+        assert est._smoothed_cpu == pytest.approx(0.15)
+
     def test_decisions_still_produced(self, env, setup):
         _n, prober, fh = setup
         est = SmoothedDOSASEstimator(alpha=0.5, **_kw(prober))

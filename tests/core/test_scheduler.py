@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.model import CostModel, SchedulingInstance
+from repro.core.model import CostModel, RequestCost, SchedulingInstance
 from repro.core.scheduler import (
     BranchAndBoundScheduler,
     ExhaustiveScheduler,
     GreedyScheduler,
+    SchedulerDecision,
     ThresholdScheduler,
     make_scheduler,
 )
@@ -180,3 +181,99 @@ def test_bnb_threshold_agree_beyond_exhaustive_range(sizes):
     a = BranchAndBoundScheduler().solve(inst)
     b = ThresholdScheduler().solve(inst)
     assert a.value == pytest.approx(b.value, rel=1e-12)
+
+
+# ------------------------------------------------- numpy threshold reference
+def reference_threshold_solve(instance):
+    """The numpy ``ThresholdScheduler.solve`` the plain-Python one replaced.
+
+    Kept verbatim as the oracle for the rules the rewrite must keep: a
+    request with w_i <= M is eligible, an eligible one demotes when
+    y_i < x_i, the forced witness is ``np.argmax``'s first maximal
+    regret, and a candidate replaces the best only when it is lower by
+    more than 1e-15.
+    """
+    k = instance.k
+    if k == 0:
+        return SchedulerDecision(assignment=(), value=0.0, evaluations=0)
+    w = instance.w
+    x = instance.x
+    y = instance.y
+
+    best_value = float("inf")
+    best_assignment = None
+    evaluations = 0
+
+    candidates = {0.0}
+    candidates.update(float(v) for v in w)
+    for m_val in sorted(candidates):
+        evaluations += 1
+        a = np.ones(k, dtype=np.int64)
+        if m_val == 0.0:
+            free = w == 0.0
+            a[free] = (x[free] < y[free]).astype(np.int64)
+        else:
+            must_active = w > m_val
+            eligible = ~must_active
+            choose_demote = y < x
+            a[eligible & choose_demote] = 0
+            witnesses = eligible & (w == m_val)
+            if not witnesses.any():
+                continue
+            if not (witnesses & (a == 0)).any():
+                idx = np.flatnonzero(witnesses)
+                regret = x[idx] - y[idx]
+                pick = idx[int(np.argmax(regret))]
+                a[pick] = 0
+        exact = instance.value([int(v) for v in a])
+        if exact < best_value - 1e-15:
+            best_value = exact
+            best_assignment = a.copy()
+
+    assert best_assignment is not None
+    return SchedulerDecision(
+        assignment=tuple(int(v) for v in best_assignment),
+        value=best_value,
+        evaluations=evaluations,
+    )
+
+
+#: Few distinct values, so weights repeat, some are zero, and x_i = y_i
+#: and equal regrets are common.
+TIE_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0])
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    costs = []
+    for rid in range(draw(st.integers(min_value=1, max_value=12))):
+        x = draw(TIE_VALUES)
+        y = draw(st.one_of(st.just(x), TIE_VALUES))
+        costs.append(
+            RequestCost(rid=rid, d_i=1.0, x_i=x, y_i=y, w_i=draw(TIE_VALUES))
+        )
+    return SchedulingInstance.from_costs(costs)
+
+
+@given(instance=tie_heavy_instances())
+@settings(max_examples=300, deadline=None)
+def test_threshold_matches_numpy_reference_on_ties(instance):
+    """Same assignment, value and evaluations, ties included."""
+    assert ThresholdScheduler().solve(instance) == (
+        reference_threshold_solve(instance)
+    )
+
+
+@given(
+    sizes=st.lists(
+        st.sampled_from([4 * MB, 128 * MB, 256 * MB, 1024 * MB]),
+        min_size=1, max_size=64,
+    ),
+    c_factor=st.floats(min_value=0.1, max_value=10),
+    s_factor=st.floats(min_value=0.1, max_value=10),
+)
+@settings(max_examples=100, deadline=None)
+def test_threshold_matches_numpy_reference_on_queues(sizes, c_factor, s_factor):
+    """Probed-queue shapes: up to 64 requests of a few sizes."""
+    inst = gauss_instance(sizes, c_factor=c_factor, s_factor=s_factor)
+    assert ThresholdScheduler().solve(inst) == reference_threshold_solve(inst)
