@@ -1,11 +1,10 @@
 """Ablation — extended Contention Estimator variants.
 
-The paper's estimator decides from the instantaneous probe.  Two
-refinements (``repro.core.estimators_ext``) target its failure modes:
-EWMA smoothing against parameter noise, and hysteresis against policy
-flapping.  This bench compares all three under a flapping-prone
-workload: requests trickling in at exactly the crossover rate, with
-bandwidth jitter on.
+The paper's estimator decides from the instantaneous probe.  Verdict
+hysteresis (``repro.core.estimators_ext``) targets one of its failure
+modes, policy flapping.  This bench compares the two under a
+flapping-prone workload: requests trickling in at exactly the
+crossover rate, with bandwidth jitter on.
 """
 
 from repro.cluster.config import MB
@@ -21,7 +20,7 @@ def bench_estimator_variants(record):
 
     def sweep():
         out = []
-        for variant in ("base", "smoothed", "hysteresis"):
+        for variant in ("base", "hysteresis"):
             r = run_scheme(Scheme.DOSAS, WorkloadSpec(
                 **base, estimator_variant=variant))
             out.append((variant, r.makespan, r.served_active, r.demoted,

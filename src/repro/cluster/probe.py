@@ -13,8 +13,8 @@ Every probe period builds one snapshot, so :class:`SystemProbe` is a
 slotted dataclass rather than a frozen one: a frozen constructor sets
 each field through ``object.__setattr__`` and costs nearly three times
 as much.  Nothing mutates or hashes a snapshot; the probe-loss replay
-and the smoothed estimator derive new ones with
-:func:`dataclasses.replace`, which runs the same range checks.
+derives a new one with :func:`dataclasses.replace`, which runs the
+same range checks.
 """
 
 from __future__ import annotations

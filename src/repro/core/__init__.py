@@ -65,10 +65,7 @@ from repro.core.schemes import (
 )
 from repro.core.planrun import PlanResult, run_plan
 from repro.core.advisor import Advisor, Prediction
-from repro.core.estimators_ext import (
-    HysteresisDOSASEstimator,
-    SmoothedDOSASEstimator,
-)
+from repro.core.estimators_ext import HysteresisDOSASEstimator
 
 __all__ = [
     "DEFAULT_SEED",
@@ -76,7 +73,6 @@ __all__ = [
     "Advisor",
     "HysteresisDOSASEstimator",
     "Prediction",
-    "SmoothedDOSASEstimator",
     "ActiveReadOutcome",
     "ActiveStorageClient",
     "AlwaysOffloadEstimator",

@@ -25,7 +25,6 @@ from repro.qos.budget import RetryBudget
 from repro.qos.tokens import TokenBucket
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf, AnyOf, Event
-from repro.sim.process import join_inline
 from repro.cluster.node import ComputeNode
 from repro.kernels.base import Kernel, KernelCheckpoint
 from repro.kernels.registry import KernelRegistry, default_registry
@@ -389,10 +388,8 @@ class ActiveStorageClient:
     ) -> Generator[Event, Any, List[IOReply]]:
         """Drive every per-server piece through recovery (simulation generator).
 
-        A single piece recovers in the calling process, through
-        :func:`~repro.sim.process.join_inline`, which keeps the queue
-        entries of a spawned-and-joined child and so its event order.
-        Wider reads spawn one process per piece: their pieces recover
+        A single piece recovers in the calling process.  Wider reads
+        spawn one process per piece: their pieces recover
         concurrently, and the first to give up must reach the caller
         while the others still run.  Those then abandon the read at
         their next re-issue; attempts already in flight drain.
@@ -403,9 +400,7 @@ class ActiveStorageClient:
                 if request.deadline is None:
                     request.deadline = now + self.deadline
         if len(requests) == 1:
-            reply = yield from join_inline(
-                self.env, self._recover_piece(requests[0], retry)
-            )
+            reply = yield from self._recover_piece(requests[0], retry)
             return [reply]
         read = _WideRead()
         procs = [

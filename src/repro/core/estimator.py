@@ -52,6 +52,14 @@ class ContentionEstimator(abc.ABC):
     def start(self, env: Environment, runtime: "ActiveIORuntime") -> None:
         """Hook for estimators that run a periodic probe process."""
 
+    def wake(self) -> bool:
+        """Hook: re-arm a periodic probe parked on an idle node.
+
+        The runtime calls it on every arrival; True means the probe
+        was parked, so the standing policy is as old as the park.
+        """
+        return False
+
 
 class AlwaysOffloadEstimator(ContentionEstimator):
     """The AS baseline: every active request executes on storage."""
@@ -96,8 +104,10 @@ class DOSASEstimator(ContentionEstimator):
         The 0/1 solver (default: exact threshold solver).
     probe_period:
         Seconds between periodic probes; each probe regenerates the
-        policy.  ``None`` disables the periodic process — policies are
-        then generated on demand only.
+        policy.  A probe that finds nothing queued or running and
+        leaves the ACTIVE default parks the periodic process until
+        the next arrival (:meth:`wake`).  ``None`` disables the
+        periodic process — policies are then generated on demand only.
     degrade_by_cpu:
         When True, S_{C,op} is scaled by the fraction of cores *not*
         already busy with other work — the paper's "estimated by the
@@ -115,7 +125,9 @@ class DOSASEstimator(ContentionEstimator):
         once the newest real data is older than this, the CE stops
         trusting the node and demotes everything to client-side
         processing — lost telemetry reads as degradation, never as
-        health.  ``None`` (default) disables the check.
+        health.  A parked probe takes no snapshot, so after a park the
+        age counts from the parking probe.  ``None`` (default)
+        disables the check.
     account_normal_traffic:
         Extension (off by default — the paper's Eq. 4 ignores D_N):
         when the probe shows queued normal-I/O bytes, demoted requests
@@ -155,6 +167,10 @@ class DOSASEstimator(ContentionEstimator):
         #: Objective value of every policy generated, in order; the
         #: run summary reports them as ``policy_values``.
         self.objective_values: List[float] = []
+        #: While the periodic probe is parked: the event it waits on,
+        #: and the time of the probe that parked it.
+        self._parked: Optional[Event] = None
+        self._parked_at = 0.0
 
     # -- capability estimation -------------------------------------------------
     def storage_capability(self, op: str, probe: SystemProbe) -> float:
@@ -314,12 +330,45 @@ class DOSASEstimator(ContentionEstimator):
         if self.probe_period is not None:
             env.process(self._periodic(env, runtime, self.probe_period))
 
+    def wake(self) -> bool:
+        """Re-arm a parked probe at the next time of its unparked grid.
+
+        The grid is the parking probe's time plus whole periods, added
+        one at a time as the unparked loop adds them, so busy-phase
+        probes keep their times to the last bit.
+        """
+        parked = self._parked
+        if parked is None:
+            return False
+        self._parked = None
+        period = self.probe_period
+        assert period is not None  # only the periodic process parks
+        due = self._parked_at + period
+        now = parked.env.now
+        while due < now:
+            due += period
+        parked.succeed_at(due)
+        return True
+
     def _periodic(
         self,
         env: Environment,
         runtime: "ActiveIORuntime",
         period: float,
     ) -> Generator[Event, Any, None]:
+        tick: Event = env.timeout(period)
         while True:
-            yield env.timeout(period)
-            runtime.refresh_policy()
+            yield tick
+            policy = runtime.refresh_policy()
+            if (
+                policy.default is Decision.ACTIVE
+                and not runtime.pending
+                and not runtime.running
+            ):
+                # Nothing to decide until work arrives: park, and let
+                # the next arrival wake us.  A NORMAL default (stale
+                # probes) keeps probing, so it can lift.
+                self._parked_at = env.now
+                tick = self._parked = Event(env)
+            else:
+                tick = env.timeout(period)

@@ -1,72 +1,21 @@
-"""Extended Contention Estimators (paper future-work directions).
+"""Extended Contention Estimator (paper future-work direction).
 
 The baseline :class:`~repro.core.estimator.DOSASEstimator` decides
-from the instantaneous probe.  Two refinements address its documented
-weaknesses:
-
-``SmoothedDOSASEstimator``
-    Exponentially smooths the probed state across probes, so one noisy
-    sample (a transient queue spike, one jittery transfer) cannot flip
-    the policy.  Targets the paper's misjudgment cause (1): parameter
-    variation.
-
-``HysteresisDOSASEstimator``
-    Requires the solver's verdict for a request to persist across
-    ``confirmations`` consecutive evaluations before a *reversal* is
-    enforced.  Prevents policy flapping — repeated interrupt/migrate
-    cycles that each pay checkpoint and re-read costs — under arrival
-    patterns that hover near the crossover.
+from the instantaneous probe.  ``HysteresisDOSASEstimator`` requires
+the solver's verdict for a request to persist across ``confirmations``
+consecutive evaluations before a *reversal* is enforced.  It prevents
+policy flapping — repeated interrupt/migrate cycles that each pay
+checkpoint and re-read costs — under arrival patterns that hover near
+the crossover.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.cluster.probe import SystemProbe
 from repro.core.estimator import DOSASEstimator
 from repro.core.policy import Decision, SchedulingPolicy
 from repro.pvfs.requests import IORequest
-
-
-class SmoothedDOSASEstimator(DOSASEstimator):
-    """EWMA smoothing of probe state before solving.
-
-    Parameters
-    ----------
-    alpha:
-        Smoothing weight of the newest sample in (0, 1]; 1 reduces to
-        the base estimator.
-    """
-
-    def __init__(self, *args: Any, alpha: float = 0.3, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-        self.alpha = float(alpha)
-        self._smoothed_cpu: Optional[float] = None
-        #: The snapshot the EWMA last stepped on: one evaluation asks
-        #: once per operation, but one probe is one sample.
-        self._sampled: Optional[SystemProbe] = None
-
-    def _smooth(self, previous: Optional[float], sample: float) -> float:
-        if previous is None:
-            return sample
-        return self.alpha * sample + (1 - self.alpha) * previous
-
-    def storage_capability(self, op: str, probe: SystemProbe) -> float:
-        """The base estimate, read at the smoothed CPU utilisation.
-
-        The EWMA steps once per snapshot, however many operations the
-        evaluation of that snapshot asks about.
-        """
-        cpu = self._smoothed_cpu
-        if probe is not self._sampled or cpu is None:
-            cpu = self._smooth(cpu, probe.cpu_utilization)
-            self._smoothed_cpu, self._sampled = cpu, probe
-        return super().storage_capability(
-            op, replace(probe, cpu_utilization=cpu)
-        )
 
 
 class HysteresisDOSASEstimator(DOSASEstimator):

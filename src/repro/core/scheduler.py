@@ -141,9 +141,9 @@ class ThresholdScheduler(Scheduler):
     For every candidate M ∈ {0} ∪ {w_i}: any request with w_i > M must
     stay active (else it would exceed the assumed max); every request
     with w_i ≤ M independently picks min(x_i, y_i); the z term is M,
-    charged only if some request of weight exactly M is demoted —
-    which we enforce by demoting the min-regret eligible witness when
-    none volunteers.
+    charged only if some request of weight exactly M is demoted.  A
+    candidate where none is skipped: a smaller candidate is never
+    worse.
     """
 
     name = "threshold"
@@ -170,16 +170,12 @@ class ThresholdScheduler(Scheduler):
                 # Eligible (w_i ≤ M) requests demote when y_i < x_i.
                 a = [0 if wi <= m_val and yi < xi else 1 for xi, yi, wi in xyw]
                 # Witness: some demoted request must have weight ==
-                # m_val, otherwise this M is an overestimate and a
-                # smaller candidate covers the true optimum — forcing
-                # the min-regret witness keeps every candidate's value
-                # a consistent upper bound.
-                witnesses = [i for i, wi in enumerate(w) if wi == m_val]
-                if not witnesses:
+                # m_val.  When none volunteers, forcing one down adds
+                # y_f ≥ x_f and a z of M to the next lower candidate's
+                # assignment, whose z is smaller; float addition is
+                # monotone, so that candidate never wins.
+                if all(a[i] for i, wi in enumerate(w) if wi == m_val):
                     continue
-                if all(a[i] for i in witnesses):
-                    # ``max`` keeps the first maximal regret x_i - y_i.
-                    a[max(witnesses, key=lambda i: costs[i].x_i - costs[i].y_i)] = 0
             # Re-evaluate exactly through the model (guards against any
             # bookkeeping slip and keeps the reported value canonical).
             exact = instance.value(a)

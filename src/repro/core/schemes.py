@@ -130,8 +130,8 @@ class WorkloadSpec:
     #: NIC sharing discipline: "serial" (the paper's g(x)=x/bw FIFO
     #: model) or "fair" (fluid processor sharing) — an ablation.
     link_sharing: str = "serial"
-    #: DOSAS estimator variant: "base", "smoothed", or "hysteresis"
-    #: (the extended estimators of ``repro.core.estimators_ext``).
+    #: DOSAS estimator variant: "base" or "hysteresis" (the extended
+    #: estimator of ``repro.core.estimators_ext``).
     estimator_variant: str = "base"
     #: Straggler-aware client dispatch (see repro.straggler): when on,
     #: clients rank replica candidates by observed latency and hedge
@@ -207,7 +207,7 @@ class WorkloadSpec:
             raise ValueError("background_bytes must be positive")
         if self.link_sharing not in ("serial", "fair"):
             raise ValueError(f"unknown link_sharing {self.link_sharing!r}")
-        if self.estimator_variant not in ("base", "smoothed", "hysteresis"):
+        if self.estimator_variant not in ("base", "hysteresis"):
             raise ValueError(
                 f"unknown estimator_variant {self.estimator_variant!r}"
             )
@@ -387,10 +387,6 @@ def _build_estimator(
             account_normal_traffic=spec.account_normal_traffic,
             stale_probe_timeout=stale_probe_timeout,
         )
-        if spec.estimator_variant == "smoothed":
-            from repro.core.estimators_ext import SmoothedDOSASEstimator
-
-            return SmoothedDOSASEstimator(**kwargs)
         if spec.estimator_variant == "hysteresis":
             from repro.core.estimators_ext import HysteresisDOSASEstimator
 

@@ -19,9 +19,6 @@ Public surface
     processes.
 ``Event``, ``Timeout``, ``Process``, ``AllOf``, ``AnyOf``
     Waitable objects.
-``join_inline``
-    Runs a generator in the calling process with the queue entries of
-    spawning it as a ``Process`` and joining it.
 ``Interrupt``, ``Failure``
     Exceptions raised inside a process when another process interrupts
     it — ``Interrupt`` for scheduling decisions (the Active I/O Runtime
@@ -49,7 +46,7 @@ from repro.sim.events import (
 )
 from repro.sim.engine import Environment
 from repro.sim.scheduler import HeapScheduler, make_event_scheduler
-from repro.sim.process import Process, join_inline
+from repro.sim.process import Process
 from repro.sim.resources import (
     PriorityRequest,
     PriorityResource,
@@ -84,6 +81,5 @@ __all__ = [
     "TimeWeightedStat",
     "Timeout",
     "Timer",
-    "join_inline",
     "make_event_scheduler",
 ]

@@ -129,6 +129,22 @@ class Event:
         env._push(env._now, PRIORITY_NORMAL, self)
         return self
 
+    def succeed_at(self, when: float, value: Any = None) -> "Event":
+        """Trigger the event successfully, to be processed at time ``when``.
+
+        :meth:`succeed` at an absolute time no earlier than now: a
+        process already waiting on the event resumes at ``when``.
+        """
+        env = self.env
+        if when < env._now:
+            raise ValueError(f"time {when} lies in the past (now={env._now})")
+        if self._value is not PENDING:
+            raise SimulationError(f"{self!r} has already been triggered")
+        self._ok = True
+        self._value = value
+        env._push(when, PRIORITY_NORMAL, self)
+        return self
+
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event as failed, carrying ``exception``."""
         if not isinstance(exception, BaseException):
@@ -246,19 +262,13 @@ class Timer(Event):
 
 
 class Initialize(Event):
-    """Internal event that kicks off a generator: an URGENT zero-delay entry.
-
-    With a ``process`` it resumes that newly created
-    :class:`~repro.sim.process.Process`; without one it is the entry a
-    caller waits on before running a generator inline (see
-    :func:`~repro.sim.process.join_inline`).
-    """
+    """Internal event that kicks off a newly created process."""
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", process: Optional["Process"] = None) -> None:
+    def __init__(self, env: "Environment", process: "Process") -> None:
         self.env = env
-        self.callbacks = [process._resume] if process is not None else []
+        self.callbacks = [process._resume]
         self._ok = True
         self._value = None
         self._defused = False

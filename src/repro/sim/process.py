@@ -8,10 +8,7 @@ into it (``gen.throw(exc)``).
 
 Processes are themselves events: they trigger when the generator
 returns (value = the ``return`` value) or raises.  Other processes can
-therefore ``yield proc`` to join on completion.  A caller that would
-spawn one child and join it at once can instead run the child's
-generator inline with :func:`join_inline`, which keeps the queue
-entries of the spawn and the join but builds no process.
+therefore ``yield proc`` to join on completion.
 
 ``interrupt(cause)`` injects :class:`~repro.sim.exceptions.Interrupt`
 into the generator at its current suspension point.  This is the
@@ -30,7 +27,6 @@ from repro.sim.events import (
     PENDING,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
-    Timeout,
 )
 from repro.sim.exceptions import Interrupt, SimulationError, StopProcess
 
@@ -165,39 +161,3 @@ class Process(Event):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "alive" if self.is_alive else "dead"
         return f"<Process {self.name} ({state}) at {id(self):#x}>"
-
-
-def join_inline(
-    env: "Environment", generator: Generator[Event, Any, Any]
-) -> Generator[Event, Any, Any]:
-    """Run ``generator`` in the calling process, as a joined child would run.
-
-    ``value = yield from join_inline(env, gen)`` makes the queue pushes
-    of spawning ``proc = env.process(gen)`` and waiting on
-    ``AllOf(env, [proc])``, at the same times, priorities and points
-    in the run, but builds neither: one URGENT zero-delay entry before
-    the generator's first step, where the child's :class:`Initialize`
-    stood; the generator's own yields, which the caller now waits on;
-    then, once it returns or raises, two NORMAL zero-delay entries,
-    where the finished child and the decided ``AllOf`` stood.  Ties at
-    one timestamp pop in push order, so the run's event order, and with
-    it every output, is the spawned child's.  Then the generator's
-    value is returned, or its exception re-raised.
-
-    The equivalence holds while nothing interrupts the caller: an
-    interrupt would land inside ``generator`` instead of in the wait on
-    the child.  A generator that yields a non-event likewise fails the
-    caller instead of the child.
-    """
-    yield Initialize(env)
-    try:
-        value = yield from generator
-    except StopProcess as stop:
-        value = stop.value
-    except Exception:
-        yield Timeout(env, 0)
-        yield Timeout(env, 0)
-        raise
-    yield Timeout(env, 0)
-    yield Timeout(env, 0)
-    return value

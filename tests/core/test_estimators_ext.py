@@ -1,14 +1,10 @@
-"""Extended estimators: smoothing and hysteresis."""
+"""Extended estimator: verdict hysteresis."""
 
 import pytest
 
 from repro.sim import Environment
-from repro.cluster import NodeProber, NodeSpec, StorageNode, SystemProbe
-from repro.core import (
-    DOSASEstimator,
-    HysteresisDOSASEstimator,
-    SmoothedDOSASEstimator,
-)
+from repro.cluster import NodeProber, NodeSpec, StorageNode
+from repro.core import HysteresisDOSASEstimator
 from repro.core.policy import Decision
 from repro.core.schemes import cost_models_from_registry
 from repro.kernels.registry import default_registry
@@ -43,100 +39,6 @@ def _kw(prober):
         bandwidth=BW,
         probe_period=None,
     )
-
-
-class TestSmoothed:
-    def test_alpha_validation(self, setup):
-        _n, prober, _fh = setup
-        with pytest.raises(ValueError):
-            SmoothedDOSASEstimator(alpha=0.0, **_kw(prober))
-        with pytest.raises(ValueError):
-            SmoothedDOSASEstimator(alpha=1.5, **_kw(prober))
-
-    def test_alpha_one_equals_base(self, env, setup):
-        node, prober, fh = setup
-        est = SmoothedDOSASEstimator(alpha=1.0, degrade_by_cpu=True,
-                                     **_kw(prober))
-        probe = prober.probe()
-        assert est.storage_capability("gaussian2d", probe) == pytest.approx(
-            80 * MB * max(0.1, 1 - probe.cpu_utilization)
-        )
-
-    def test_smoothing_damps_spikes(self, env, setup):
-        """A single busy probe barely moves the smoothed estimate."""
-        node, prober, fh = setup
-        est = SmoothedDOSASEstimator(alpha=0.2, degrade_by_cpu=True,
-                                     **_kw(prober))
-        idle = prober.probe()
-        est.storage_capability("gaussian2d", idle)  # seed EWMA at 0 load
-
-        def busy(env, node):
-            yield from node.cpu.compute(160 * MB, 80 * MB)
-
-        def sample(env):
-            yield env.timeout(0.5)
-            return prober.probe()
-
-        env.process(busy(env, node))
-        spike = env.run(until=env.process(sample(env)))
-        assert spike.cpu_utilization == 0.5
-        cap = est.storage_capability("gaussian2d", spike)
-        # EWMA load = 0.2*0.5 = 0.1, not the raw 0.5.
-        assert cap == pytest.approx(80 * MB * 0.9)
-
-    @pytest.mark.parametrize("ops", [
-        ["gaussian2d"],
-        ["gaussian2d"] * 4,
-        ["gaussian2d"] * 16,
-        ["gaussian2d", "sum"] * 2,
-    ], ids=["1", "4", "16", "mixed-4"])
-    def test_one_step_per_probe(self, env, setup, ops):
-        """One probe moves the EWMA once, however long the queue."""
-        node, prober, fh = setup
-        est = SmoothedDOSASEstimator(alpha=0.3, degrade_by_cpu=True,
-                                     **_kw(prober))
-        est.storage_capability("gaussian2d", prober.probe())  # EWMA at 0
-
-        def busy(env, node):
-            yield from node.cpu.compute(160 * MB, 80 * MB)
-
-        def sample(env):
-            yield env.timeout(0.5)
-            reqs = [_request(env, fh, 128 * MB) for _ in ops]
-            for req, op in zip(reqs, ops):
-                req.operation = op
-            return est.evaluate(reqs, [])
-
-        env.process(busy(env, node))
-        policy = env.run(until=env.process(sample(env)))
-        assert policy.probe.cpu_utilization == 0.5
-        # 0.3 * 0.5 + 0.7 * 0.0, one step.
-        assert est._smoothed_cpu == pytest.approx(0.15)
-
-    def test_decisions_still_produced(self, env, setup):
-        _n, prober, fh = setup
-        est = SmoothedDOSASEstimator(alpha=0.5, **_kw(prober))
-        policy = est.evaluate([_request(env, fh, 128 * MB)], [])
-        assert policy.decisions
-
-    @pytest.mark.parametrize("degrade_by_cpu", [False, True])
-    def test_core_derate_scales_the_estimate(self, setup, degrade_by_cpu):
-        """A straggler advertises its derated capability here too."""
-        _n, prober, _fh = setup
-        probe = SystemProbe(
-            time=0.0, cpu_utilization=0.0, io_queue_length=0,
-            active_queue_length=0, queued_bytes=0.0, active_bytes=0.0,
-            cpu_derate=0.25,
-        )
-        kw = dict(degrade_by_cpu=degrade_by_cpu, **_kw(prober))
-        smoothed = SmoothedDOSASEstimator(alpha=0.3, **kw)
-        base = DOSASEstimator(**kw)
-        assert smoothed.storage_capability("gaussian2d", probe) == (
-            base.storage_capability("gaussian2d", probe)
-        )
-        assert base.storage_capability("gaussian2d", probe) == (
-            pytest.approx(20 * MB)
-        )
 
 
 class TestHysteresis:

@@ -1,9 +1,10 @@
 """A policy refresh over an empty queue.
 
-Most probe periods find nothing queued or running.  Such a refresh
-solves nothing, yet it still takes one probe (the probe-loss replay
-source), records one objective value, re-issues the default verdict
-and lets the hysteresis estimator forget departed requests.
+The probe that parks the periodic probe, and the catch-up evaluation
+of the arrival that wakes it, find nothing queued or running.  Such a
+refresh solves nothing, yet it still takes one probe (the probe-loss
+replay source), records one objective value, re-issues the default
+verdict and lets the hysteresis estimator forget departed requests.
 """
 
 import pytest

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Environment
-from repro.cluster import NodeProber, NodeSpec, StorageNode
+from repro.cluster import NodeProber, NodeSpec, StorageNode, SystemProbe
 from repro.core.estimator import (
     AlwaysOffloadEstimator,
     DOSASEstimator,
@@ -153,6 +153,20 @@ class TestDOSASEstimator:
         env.process(busy(env, node))
         cap = env.run(until=env.process(sample(env)))
         assert cap == pytest.approx(80 * MB * 0.5)  # one of two cores busy
+
+    @pytest.mark.parametrize("degrade_by_cpu", [False, True])
+    def test_core_derate_scales_the_estimate(self, setup, degrade_by_cpu):
+        """A straggler advertises its derated capability."""
+        _n, prober, _fh = setup
+        probe = SystemProbe(
+            time=0.0, cpu_utilization=0.0, io_queue_length=0,
+            active_queue_length=0, queued_bytes=0.0, active_bytes=0.0,
+            cpu_derate=0.25,
+        )
+        est = self._estimator(prober, degrade_by_cpu=degrade_by_cpu)
+        assert est.storage_capability("gaussian2d", probe) == (
+            pytest.approx(20 * MB)
+        )
 
     def test_unknown_operation_raises(self, env, setup):
         _node, prober, fh = setup

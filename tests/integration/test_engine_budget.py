@@ -20,10 +20,11 @@ start or finish entry) reorders the run even where no test of its
 outputs notices.  Their ``Process`` counts are pinned exactly, as
 fixed points of the same ratchet.
 
-The same point with 64 requests keeps the Contention Estimator probing
-and re-deciding for the whole run (2,273 policies).  Its tracemalloc
-peak, measured after a warm-up run, may only fall too: state a run
-keeps per probe or per policy shows up there.
+The same point with 64 ``sum`` requests keeps the Contention
+Estimator probing and re-deciding a busy queue for the whole run (305
+policies).  Its tracemalloc peak, measured after a warm-up run, may
+only fall too: state a run keeps per probe or per policy shows up
+there.
 """
 
 import gc
@@ -54,16 +55,22 @@ DEMOTED = 8
 MAKESPAN = 82.22372881355932
 
 #: Ceilings: engine overhead per run.
-#: 8573 while each remainder was re-read as 256 stripe reads; 18821
-#: before that, while each normal read spawned two processes.
-PUSH_BUDGET = 413
+#: 413 while the Contention Estimator probed the idle node every
+#: period (328 probes; it now parks after its first); 8573 while each
+#: remainder was re-read as 256 stripe reads; 18821 before that, while
+#: each normal read spawned two processes.
+PUSH_BUDGET = 85
 PROCESS_BUDGET = 10  # 4106 while each normal read spawned two processes
 
 #: The same point under a retry policy: one attempt per stripe.
 RETRY = RetryPolicy(timeout=60)
 RETRY_SERVER_REQUESTS = 2056  # 8 active requests + 8 × 256 stripe attempts
 RETRY_MAKESPAN = 82.22372881356193
-RETRY_PUSH_BUDGET = 18853
+#: 18853 while the Contention Estimator probed the idle node every
+#: period and each single-piece recovered read pushed the three queue
+#: entries of the child process it once spawned (18525 with the first
+#: gone, 12357 with both).
+RETRY_PUSH_BUDGET = 12357
 #: 2066 while each single-piece gather spawned one recovery process.
 RETRY_PROCESS_BUDGET = 10
 #: Iterations over ``IOServer.outstanding`` and the records they visit
@@ -71,28 +78,35 @@ RETRY_PROCESS_BUDGET = 10
 QUEUE_SCAN_BUDGET = 0
 
 #: Ceiling on the tracemalloc peak of one run of the 64-request point,
-#: in bytes.  1.74 MB while every probe snapshot and every policy of
-#: the run was kept; 0.73 MB (budget 1.2 MB) while every client seeded
-#: its backoff RNG at construction and probe snapshots and policies
-#: carried a ``__dict__``; 0.51 MB since.  The budget keeps the same
-#: headroom ratio over the measured peak.
-LONG_SPEC = replace(SPEC, n_requests=64)
-PEAK_MEMORY_BUDGET = int(0.84 * MB)
+#: in bytes: 0.40 MB.  The point was 64 ``gaussian2d`` requests until
+#: the Contention Estimator began parking on an idle node: that run
+#: demotes everything at once, so its 2,273 probes of an idle node
+#: became 2.  Its peak was 1.74 MB while every probe snapshot and
+#: every policy of the run was kept; 0.73 MB (budget 1.2 MB) while
+#: every client seeded its backoff RNG at construction and probe
+#: snapshots and policies carried a ``__dict__``; 0.51 MB (budget
+#: 0.84 MB) since.  The budget keeps the same headroom ratio over the
+#: measured peak.
+LONG_SPEC = replace(SPEC, kernel="sum", n_requests=64)
+PEAK_MEMORY_BUDGET = int(0.66 * MB)
 
 #: One seeded ``run_scenario`` (protected plus baseline, DOSAS) of each
 #: scenario: (pushes, sha256 of the push sequence, processes).  The
 #: processes were 410, 250 and 440 while each single-piece recovered
-#: read spawned a process; running it inline kept every push.
+#: read spawned a process.  The pushes were 4628, 2366 and 3890 while
+#: the Contention Estimator probed an idle node every period and each
+#: such read pushed the three queue entries of the child it once
+#: spawned.
 SCENARIO_SEED = 1
 SCENARIOS = {
     "kitchen-sink-chaos": (
-        4628, "5b1cfcfb76e2e70169c6dc11de1e139bd715ff02adcf4b90b5995f8a71b26efc", 50,
+        3483, "aa58f388ef80acc60822ad02a31b52d25558ca0822881b82f0895b88d889dfff", 50,
     ),
     "straggler-degrade": (
-        2366, "df650b3763a16c09c73bf9dd392d78ff7405161ba8f6d98a979956c01a78d07b", 50,
+        1734, "b9f3dfe334cd99952d6ea18c2654b62c2e8780ef9fb4626aa1ca89669bff6b63", 50,
     ),
     "noisy-neighbor-queue": (
-        3890, "58f57cd00652a4af2da9530eea2622bc3b0a27854ae0a0256b879e38de4d17fc", 116,
+        2856, "f3c115929ea7b6bf376d19e034b076531abeb1fcebed844834bc03eedadc0e6b", 116,
     ),
 }
 

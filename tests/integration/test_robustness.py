@@ -89,7 +89,7 @@ class TestConservationProperty:
 
     @given(
         n=st.integers(min_value=1, max_value=12),
-        variant=st.sampled_from(["base", "smoothed", "hysteresis"]),
+        variant=st.sampled_from(["base", "hysteresis"]),
         seed=st.integers(min_value=0, max_value=100),
     )
     @settings(max_examples=15, deadline=None)

@@ -31,6 +31,26 @@ class TestEventLifecycle:
         with pytest.raises(SimulationError):
             ev.succeed()
 
+    def test_succeed_at_resumes_a_waiter_at_that_time(self, env):
+        ev = env.event()
+
+        def waiter():
+            value = yield ev
+            return env.now, value
+
+        proc = env.process(waiter())
+        env.run(until=0.5)
+        ev.succeed_at(0.7999999999999999, "tick")
+        assert env.run(until=proc) == (0.7999999999999999, "tick")
+
+    def test_succeed_at_rejects_the_past_and_a_second_trigger(self, env):
+        env.run(until=1.0)
+        with pytest.raises(ValueError):
+            env.event().succeed_at(0.5)
+        ev = env.event().succeed_at(1.0)
+        with pytest.raises(SimulationError):
+            ev.succeed_at(2.0)
+
     def test_fail_requires_exception(self, env):
         with pytest.raises(TypeError):
             env.event().fail("not an exception")
