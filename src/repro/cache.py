@@ -42,8 +42,6 @@ import tempfile
 from dataclasses import asdict
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-from repro.obs.metrics import MetricsRegistry
-
 _log = logging.getLogger("repro.cache")
 
 from repro.core.planrun import PlanResult
@@ -203,24 +201,17 @@ class ResultCache:
         self,
         root: Union[str, os.PathLike],
         salt: Optional[str] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.root = os.fspath(root)
         self.salt = default_salt() if salt is None else salt
-        #: Session counters (reported by the sweep CLI).
+        #: Session counters of this cache object.
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        #: Observable degrade path: unreadable/undecodable entries are
-        #: counted (``cache.corrupt_entries``) and logged, never
-        #: silently swallowed — a corrupted cache directory should be
-        #: visible, not just slow.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-
-    @property
-    def corrupt_entries(self) -> int:
-        """Entries that existed on disk but could not be used."""
-        return int(self.metrics.get_counter("cache.corrupt_entries"))
+        #: Entries that existed on disk but could not be used: counted
+        #: and logged, never silently swallowed — a corrupted cache
+        #: directory should be visible, not just slow.
+        self.corrupt_entries = 0
 
     def key(
         self,
@@ -238,10 +229,10 @@ class ResultCache:
         """The memoised result, or ``None`` on a miss.
 
         An entry that exists but cannot be read or decoded degrades to
-        a miss *observably*: it increments ``cache.corrupt_entries``
-        and emits a debug log naming the entry and the cause, so a
-        corrupted cache directory shows up in metrics instead of
-        masquerading as a cold cache.
+        a miss *observably*: it increments ``corrupt_entries`` and
+        emits a debug log naming the entry and the cause, so a
+        corrupted cache directory shows up instead of masquerading as
+        a cold cache.
         """
         path = self._path(key)
         try:
@@ -265,7 +256,7 @@ class ResultCache:
     def _degrade(self, path: str, why: str, exc: Exception) -> None:
         """Count + log a corrupt entry, then treat it as a miss."""
         self.misses += 1
-        self.metrics.inc("cache.corrupt_entries")
+        self.corrupt_entries += 1
         _log.debug("result cache: %s %s treated as a miss: %s: %s",
                    why, path, type(exc).__name__, exc)
 

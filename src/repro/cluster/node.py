@@ -1,4 +1,4 @@
-"""Node models: CPU cores and disks.
+"""Node models: CPU cores.
 
 A storage node in the paper owns two cores shared by all offloaded
 processing kernels; compute nodes run client-side kernels on their own

@@ -280,7 +280,7 @@ class SchemeResult:
     wasted_bytes: int = 0
     fault_log: List[Dict[str, Any]] = field(default_factory=list)
     retry_events: List[Dict[str, Any]] = field(default_factory=list)
-    #: Per-server metric snapshots (``MetricsRegistry.summary()`` plus
+    #: Per-server metric snapshots (``IOServer.summary()`` plus
     #: ``server`` / ``outstanding_final``) — the raw material for the
     #: scenario invariant engine's conservation checks.
     server_metrics: List[Dict[str, Any]] = field(default_factory=list)
@@ -707,7 +707,7 @@ def summarise(system: System, outcomes: List[RequestOutcome]) -> Dict[str, Any]:
     )
 
     def _server_sum(name: str) -> int:
-        return int(sum(s.metrics.get_counter(name) for s in servers))
+        return int(sum(s.counts[name] for s in servers))
 
     def _asc_sum(name: str) -> int:
         return sum(a.stats[name] for a in ascs)
@@ -764,7 +764,7 @@ def summarise(system: System, outcomes: List[RequestOutcome]) -> Dict[str, Any]:
             {
                 "server": s.node.name,
                 "outstanding_final": len(s.outstanding),
-                **s.metrics.summary(),
+                **s.summary(),
             }
             for s in servers
         ],

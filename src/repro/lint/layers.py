@@ -31,8 +31,8 @@ __all__ = ["LAYERS", "layer_of", "UpwardImportRule", "ImportCycleRule"]
 #: moving their package.
 LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     # The DES engine and its observability hooks are one foundation
-    # layer: the engine carries a tracer field, the metrics registry
-    # wraps the engine's time-weighted statistics.
+    # layer: the engine carries a tracer field, and the windowed
+    # latency histogram reuses the engine's percentile.
     ("foundation", ("repro.sim", "repro.obs")),
     # The machine model: nodes/CPUs/NICs and kernels.
     ("machine", ("repro.cluster", "repro.kernels")),

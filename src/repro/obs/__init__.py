@@ -1,4 +1,4 @@
-"""Observability: request-lifecycle tracing and typed metrics.
+"""Observability: request-lifecycle tracing and windowed latencies.
 
 See ``docs/observability.md`` for the span taxonomy, metric naming
 conventions, and how to open exported traces in Chrome.
@@ -13,13 +13,7 @@ from repro.obs.tracer import (
     Tracer,
     merge_events,
 )
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    TimeWeightedGauge,
-    WindowedHistogram,
-)
+from repro.obs.metrics import WindowedHistogram
 from repro.obs.export import (
     TRACE_SCHEMA,
     chrome_trace,
@@ -38,11 +32,7 @@ __all__ = [
     "SPAN_KINDS",
     "PHASES",
     "merge_events",
-    "Counter",
-    "TimeWeightedGauge",
-    "Histogram",
     "WindowedHistogram",
-    "MetricsRegistry",
     "chrome_trace",
     "write_chrome_trace",
     "events_from_file",

@@ -16,12 +16,13 @@ Contention Estimator's probe reads (n, k, D, D_A) from it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol, Tuple
+from collections import Counter
+from typing import Any, Dict, List, Optional, Protocol, Tuple, cast
 
-from repro.obs.metrics import MetricsRegistry
 from repro.qos.admission import AdmissionController, AdmissionDecision
 from repro.sim.engine import Environment
 from repro.sim.events import Event, Timer
+from repro.sim.monitor import TimeWeightedStat, percentile
 from repro.cluster.network import Link
 from repro.cluster.node import StorageNode
 from repro.pvfs.metadata import MetadataServer, PVFSError
@@ -132,8 +133,14 @@ class IOServer:
         self._active_count = 0
         self._queued_bytes = 0
         self._active_bytes = 0
-        #: Typed per-server instruments.
-        self.metrics = MetricsRegistry(now=lambda: env.now)
+        #: Event counts by name, a :class:`~collections.Counter` (typed
+        #: for the float ``bytes_streamed``): a name exists once it has
+        #: been counted, and one never counted reads 0.
+        self.counts = cast(Dict[str, float], Counter())
+        #: Time-weighted ``outstanding`` length, from its first change.
+        self.queue_length: Optional[TimeWeightedStat] = None
+        #: Submit-to-reply time of every finished request.
+        self.service_times: List[float] = []
         self._track = f"server:{node.name}"
         #: True while crashed: new requests are rejected.
         self.down = False
@@ -161,7 +168,7 @@ class IOServer:
         if self.down:
             # A crashed server answers nothing; model the connection
             # refusal as an immediate failed reply so clients can retry.
-            self.metrics.inc("requests_rejected")
+            self.counts["requests_rejected"] += 1
             if tr.enabled:
                 tr.instant(self.env.now, "reject", self._track, rid=request.rid)
             request.reply.fail(
@@ -174,7 +181,7 @@ class IOServer:
         if request.deadline is not None and now >= request.deadline:
             # Expired on arrival: refusing is cheaper than serving work
             # nobody will wait for.
-            self.metrics.inc("deadline_rejected")
+            self.counts["deadline_rejected"] += 1
             if tr.enabled:
                 tr.instant(now, "deadline-reject", self._track, rid=request.rid)
             request.reply.fail(
@@ -207,7 +214,7 @@ class IOServer:
                 self._shed(request)
                 return
             if verdict is AdmissionDecision.REJECT:
-                self.metrics.inc("requests_overloaded")
+                self.counts["requests_overloaded"] += 1
                 if tr.enabled:
                     tr.instant(
                         now,
@@ -230,9 +237,9 @@ class IOServer:
                 request.deadline - now,
                 lambda rid=request.rid: self._expire(rid),
             )
-        self.metrics.inc("requests_received")
-        self.metrics.inc(f"requests_{request.kind.value}")
-        self.metrics.time_gauge("queue_length").set(len(self.outstanding))
+        self.counts["requests_received"] += 1
+        self.counts[f"requests_{request.kind.value}"] += 1
+        self._queue_changed()
         if tr.enabled:
             tr.begin(
                 self.env.now,
@@ -274,7 +281,7 @@ class IOServer:
         if self.down:
             return
         self.down = True
-        self.metrics.inc("crashes")
+        self.counts["crashes"] += 1
         tr = self.env.tracer
         if tr.enabled:
             tr.instant(self.env.now, "server-crash", self._track, cause=cause)
@@ -292,7 +299,7 @@ class IOServer:
         if victims:
             # Conservation counter: received = completed + cancelled +
             # failed_crash + deadline_expired + still-outstanding.
-            self.metrics.inc("requests_failed_crash", len(victims))
+            self.counts["requests_failed_crash"] += len(victims)
         for req in victims:
             if tr.enabled:
                 tr.end(
@@ -304,7 +311,7 @@ class IOServer:
                         f"server {self.node.name} crashed holding request {req.rid}"
                     )
                 )
-        self.metrics.time_gauge("queue_length").set(0)
+        self._queue_changed()
 
     def restart(self) -> None:
         """Bring a crashed server back with an empty queue.  Idempotent.
@@ -318,7 +325,7 @@ class IOServer:
         self.down = False
         self.node.cpu.restore()
         self.link.restore()
-        self.metrics.inc("restarts")
+        self.counts["restarts"] += 1
         tr = self.env.tracer
         if tr.enabled:
             tr.instant(self.env.now, "server-restart", self._track)
@@ -363,8 +370,8 @@ class IOServer:
             service.cancel()
         if request.is_active and self.active_handler is not None:
             self.active_handler.abort(rid)
-        self.metrics.inc(counter)
-        self.metrics.time_gauge("queue_length").set(len(self.outstanding))
+        self.counts[counter] += 1
+        self._queue_changed()
         tr = self.env.tracer
         if tr.enabled:
             tr.end(self.env.now, "request", self._track, rid=rid, outcome=outcome)
@@ -378,7 +385,7 @@ class IOServer:
         any prior checkpoint carried through), so the ASC finishes the
         work client-side — the request never enters ``outstanding``.
         """
-        self.metrics.inc("requests_shed")
+        self.counts["requests_shed"] += 1
         tr = self.env.tracer
         if tr.enabled:
             tr.instant(
@@ -407,7 +414,7 @@ class IOServer:
                 break
             if handler.shed(req.rid):
                 shed += 1
-                self.metrics.inc("requests_shed_queued")
+                self.counts["requests_shed_queued"] += 1
         return shed
 
     # -- normal read / write path ------------------------------------------------
@@ -461,7 +468,7 @@ class IOServer:
                 # cancelling client mid-delivery (defused reply, the
                 # kernel's detached transfer outlives the cancel) —
                 # counted so soak invariant checks can see the drop.
-                self.metrics.inc("late_replies")
+                self.counts["late_replies"] += 1
                 tr = self.env.tracer
                 if tr.enabled:
                     tr.instant(
@@ -476,12 +483,10 @@ class IOServer:
         timer = self._deadline_timers.pop(request.rid, None)
         if timer is not None:
             timer.cancel()
-        self.metrics.inc("requests_completed")
-        self.metrics.inc("bytes_streamed", reply.bytes_streamed)
-        self.metrics.time_gauge("queue_length").set(len(self.outstanding))
-        self.metrics.histogram("service_time").observe(
-            self.env.now - request.submitted_at
-        )
+        self.counts["requests_completed"] += 1
+        self.counts["bytes_streamed"] += reply.bytes_streamed
+        self._queue_changed()
+        self.service_times.append(self.env.now - request.submitted_at)
         tr = self.env.tracer
         if tr.enabled:
             tr.instant(
@@ -515,6 +520,38 @@ class IOServer:
             float(self._queued_bytes),
             float(self._active_bytes),
         )
+
+    def summary(self) -> Dict[str, Any]:
+        """Flat view copied into ``SchemeResult.server_metrics``.
+
+        Every count as a float, by name; then ``queue_length.mean`` and
+        ``.last`` once the queue has changed, and ``service_time.count``,
+        ``.sum``, ``.mean``, ``.min``, ``.max``, ``.p50``, ``.p95`` and
+        ``.p99`` once a request has finished.
+        """
+        out: Dict[str, Any] = {
+            name: float(self.counts[name]) for name in sorted(self.counts)
+        }
+        if self.queue_length is not None:
+            out["queue_length.mean"] = self.queue_length.mean(self.env.now)
+            out["queue_length.last"] = self.queue_length.current
+        times = self.service_times
+        if times:
+            total = sum(times)
+            out["service_time.count"] = len(times)
+            out["service_time.sum"] = total
+            out["service_time.mean"] = total / len(times)
+            out["service_time.min"] = min(times)
+            out["service_time.max"] = max(times)
+            for q in (50, 95, 99):
+                out[f"service_time.p{q}"] = percentile(times, q)
+        return out
+
+    def _queue_changed(self) -> None:
+        """Advance the time-weighted queue length to ``outstanding``."""
+        if self.queue_length is None:
+            self.queue_length = TimeWeightedStat(start_time=self.env.now)
+        self.queue_length.update(self.env.now, len(self.outstanding))
 
     def _enqueue(self, request: IORequest) -> None:
         """Add ``request`` to ``outstanding`` and the queue counters."""

@@ -217,19 +217,8 @@ def compile_retry(
     through the retry machinery, so running policed workloads without
     retries would fail requests the experiment means to delay.
     """
-    r = scenario.retry
-    if r is not None:
-        try:
-            return RetryPolicy(
-                timeout=r.timeout,
-                max_retries=r.max_retries,
-                backoff_base=r.backoff_base,
-                backoff_factor=r.backoff_factor,
-                backoff_cap=r.backoff_cap,
-                full_jitter=r.full_jitter,
-            )
-        except ValueError as err:
-            raise ScenarioError(f"{scenario.name}: retry", str(err)) from None
+    if scenario.retry is not None:
+        return scenario.retry
     if schedule is not None:
         return schedule.retry
     if scenario.workload.tenants and scenario.qos.enabled:
@@ -354,9 +343,8 @@ def validate_scenario(scenario: Scenario) -> None:
             f"{sorted(default_registry.names())}",
         )
     seed = scenario.run.seeds[0]
-    schedule = compile_faults(scenario, seed)
+    compile_faults(scenario, seed)
     qos = compile_qos(scenario)
-    compile_retry(scenario, schedule)
     spec = compile_workload(scenario, seed)
     lower = BASELINES.get(scenario.run.baseline)
     if lower is not None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Type, TypeVar
 
+from repro.core.asc import RetryPolicy
 from repro.faults.schedule import SCENARIOS as FAULT_LIBRARY
 from repro.faults.schedule import FaultKind
 
@@ -40,7 +41,6 @@ __all__ = [
     "FaultEventShape",
     "FaultShape",
     "QoSShape",
-    "RetryShape",
     "StragglerShape",
     "RunShape",
     "InvariantShape",
@@ -452,18 +452,8 @@ _QOS_FIELDS: Dict[str, _Parser] = {
 }
 
 
-@dataclass(frozen=True)
-class RetryShape:
-    """Client retry policy (mirrors repro.core.asc.RetryPolicy)."""
-
-    timeout: float = 5.0
-    max_retries: int = 5
-    backoff_base: float = 0.25
-    backoff_factor: float = 2.0
-    backoff_cap: float = 4.0
-    full_jitter: bool = False
-
-
+#: The ``retry`` section parses straight into the engine's
+#: :class:`~repro.core.asc.RetryPolicy` (its units are the scenario's).
 _RETRY_FIELDS: Dict[str, _Parser] = {
     "timeout": _num(exclusive_minimum=0.0),
     "max_retries": _int(minimum=0),
@@ -565,7 +555,7 @@ class Scenario:
     workload: WorkloadShape = field(default_factory=WorkloadShape)
     faults: FaultShape = field(default_factory=FaultShape)
     qos: QoSShape = field(default_factory=QoSShape)
-    retry: Optional[RetryShape] = None
+    retry: Optional[RetryPolicy] = None
     straggler: StragglerShape = field(default_factory=StragglerShape)
     run: RunShape = field(default_factory=RunShape)
     invariants: InvariantShape = field(default_factory=InvariantShape)
@@ -633,7 +623,7 @@ _SCENARIO_FIELDS: Dict[str, _Parser] = {
     "workload": _section(WorkloadShape, _WORKLOAD_FIELDS),
     "faults": _section(FaultShape, _FAULT_FIELDS),
     "qos": _section(QoSShape, _QOS_FIELDS),
-    "retry": _section(RetryShape, _RETRY_FIELDS),
+    "retry": _section(RetryPolicy, _RETRY_FIELDS),
     "straggler": _section(StragglerShape, _STRAGGLER_FIELDS),
     "run": _section(RunShape, _RUN_FIELDS),
     "invariants": _section(InvariantShape, _INVARIANT_FIELDS),

@@ -8,7 +8,7 @@ events trigger.
 
 The DOSAS paper evaluated its prototype on a real 16-node cluster
 (Discfarm at Texas Tech).  We do not have that hardware, so the cluster
-— compute nodes, storage nodes, NICs, disks — is modelled on top of
+— compute and storage nodes, their cores and NICs — is modelled on top of
 this engine with rates calibrated from the paper (see
 ``repro.cluster``).  The engine itself is generic and reusable.
 

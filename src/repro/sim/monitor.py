@@ -1,9 +1,9 @@
 """Statistics helpers for simulation runs.
 
 :class:`TimeWeightedStat` accumulates the time-weighted area of a
-piecewise-constant signal; it backs the time-weighted gauges (queue
-length) of :class:`repro.obs.MetricsRegistry`.  :func:`percentile`
-serves the latency reports.
+piecewise-constant signal; it is each I/O server's time-weighted
+queue length (``IOServer.queue_length``).  :func:`percentile` serves
+the latency reports.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from typing import Iterable
 class TimeWeightedStat:
     """Online time-weighted average of a piecewise-constant signal.
 
-    Keeps only the running area, not the samples — the state of one
-    time-weighted gauge.
+    Keeps only the running area, not the samples.
     """
 
     __slots__ = ("_last_time", "_last_value", "_area", "_start")

@@ -113,7 +113,7 @@ class TestExhaustionReasons:
         assert err.last_cause is None
         assert err.reasons == {"breaker-open": 9}
         assert str(err).endswith("gave up after 9 attempts: 9× breaker-open")
-        assert server.metrics.get_counter("requests_received") == 0
+        assert server.counts["requests_received"] == 0
 
     def test_classes_count_in_order_of_first_occurrence(self):
         # The first attempt times out; the server then crashes, so the

@@ -84,7 +84,7 @@ def test_both_pieces_recover_from_a_mid_read_crash(pieces):
     # Only server 0's piece was abandoned, once, and it came back.
     assert asc.stats["requests_recovered"] == 1
     assert [e["reason"][:8] for e in asc.retry_log] == ["failed: "]
-    received = [s.metrics.get_counter("requests_received") for s in servers]
+    received = [s.counts["requests_received"] for s in servers]
     assert received == [2, 1]
     assert pieces[0].value.completed and pieces[1].value.completed
 
@@ -123,4 +123,4 @@ def test_exhausted_piece_reaches_the_caller_while_the_other_runs(pieces):
     assert isinstance(late, RetryExhausted)
     assert "gave up (read abandoned)" in str(late)
     assert late.reasons == {"failed: ServerCrashed": 1}
-    assert servers[1].metrics.get_counter("requests_rejected") == 0
+    assert servers[1].counts["requests_rejected"] == 0

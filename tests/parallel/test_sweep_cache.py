@@ -231,6 +231,7 @@ class TestResultCache:
             fh.write("{not json")
         assert cache.get(key) is None
         assert cache.misses == 1
+        assert cache.corrupt_entries == 1
 
     def test_every_simulation_module_a_protected_run_loads_is_salted(self):
         """A fresh interpreter runs the chaos, straggler and tenant

@@ -119,7 +119,7 @@ class TestBareServer:
         cancelled = make(env, fh, IOKind.NORMAL, 2 * MB)
         server.submit(cancelled)
         assert not queued.reply.value.completed
-        assert server.metrics.get_counter("requests_shed_queued") == 1
+        assert server.counts["requests_shed_queued"] == 1
         check(server, (3, 1, 11.0 * MB, 5.0 * MB))
 
         assert server.cancel(cancelled.rid)
@@ -130,7 +130,7 @@ class TestBareServer:
         check(server, (1, 1, 5.0 * MB, 5.0 * MB))
 
         env.run(until=env.timeout(1.0))
-        assert server.metrics.get_counter("deadline_expired") == 1
+        assert server.counts["deadline_expired"] == 1
         check(server, (0, 0, 0.0, 0.0))
 
         victim = make(env, fh, IOKind.ACTIVE, 1 * MB)
@@ -143,7 +143,7 @@ class TestBareServer:
         # The crashed request's handler answers anyway: a late reply
         # leaves the queue as it is.
         server.finish(victim, IOReply.demoted(victim, None, env.now))
-        assert server.metrics.get_counter("late_replies") == 1
+        assert server.counts["late_replies"] == 1
         check(server, (0, 0, 0.0, 0.0))
 
         server.restart()

@@ -1,6 +1,7 @@
 """I/O server + client: normal path, queue stats, striping behaviour."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -79,8 +80,8 @@ class TestNormalRead:
         assert len(replies) == 2
         # Both NICs work in parallel: 4 MB each at 118 MB/s.
         assert t == pytest.approx(4 / 118)
-        assert servers[0].metrics.get_counter("bytes_streamed") == 4 * MB
-        assert servers[1].metrics.get_counter("bytes_streamed") == 4 * MB
+        assert servers[0].counts["bytes_streamed"] == 4 * MB
+        assert servers[1].counts["bytes_streamed"] == 4 * MB
 
     def test_partial_extent_read(self):
         env, topo, mds, servers = build()
@@ -196,10 +197,10 @@ class TestServerBookkeeping:
             yield from client.read(client.open("/a"))
 
         env.run(until=env.process(app()))
-        m = servers[0].metrics
-        assert m.get_counter("requests_received") == 1
-        assert m.get_counter("requests_completed") == 1
-        assert m.get_counter("bytes_streamed") == 5 * MB
+        counts = servers[0].counts
+        assert counts["requests_received"] == 1
+        assert counts["requests_completed"] == 1
+        assert counts["bytes_streamed"] == 5 * MB
 
     def test_empty_deployment_rejected(self):
         env = Environment()
@@ -208,6 +209,51 @@ class TestServerBookkeeping:
         node = ComputeNode(env, "cn0", NodeSpec())
         with pytest.raises(PVFSError):
             PVFSClient(env, node, [], mds)
+
+
+class TestSummary:
+    """``IOServer.summary()``: the flat per-server dict each run copies
+    into ``SchemeResult.server_metrics``.  Compared as JSON, so the key
+    order and every int/float type are pinned with the values."""
+
+    def test_crash_before_any_request(self):
+        env, _topo, _mds, servers = build()
+        Timer(env, 1.0, servers[0].crash)
+        env.run(until=3.0)
+        # Reading a name never counted gives 0 and does not add it.
+        assert servers[0].counts["requests_received"] == 0
+        assert json.dumps(servers[0].summary()) == json.dumps({
+            "crashes": 1.0,
+            "queue_length.mean": 0.0,
+            "queue_length.last": 0,
+        })
+
+    def test_two_reads_served(self):
+        # 1 MB and 3 MB on one 118 MB/s NIC: replies at 1/118 s and
+        # 4/118 s, the queue holding 2 then 1.
+        env, topo, mds, servers = build()
+        mds.create("/a", size=1 * MB)
+        mds.create("/b", size=3 * MB)
+        for i, name in enumerate(("/a", "/b")):
+            client = PVFSClient(env, topo.compute_node(i), servers, mds)
+            env.process(client.read(client.open(name)))
+        env.run()
+        assert json.dumps(servers[0].summary()) == json.dumps({
+            "bytes_streamed": 4194304.0,
+            "requests_completed": 2.0,
+            "requests_normal": 2.0,
+            "requests_received": 2.0,
+            "queue_length.mean": 1.25,
+            "queue_length.last": 0,
+            "service_time.count": 2,
+            "service_time.sum": 0.0423728813559322,
+            "service_time.mean": 0.0211864406779661,
+            "service_time.min": 0.00847457627118644,
+            "service_time.max": 0.03389830508474576,
+            "service_time.p50": 0.0211864406779661,
+            "service_time.p95": 0.032627118644067796,
+            "service_time.p99": 0.033644067796610166,
+        })
 
 
 class TestDemotedReply:
@@ -293,8 +339,8 @@ class TestServiceLifecycle:
     def assert_settled(server):
         assert server._service == {}
         assert server._deadline_timers == {}
-        assert server.metrics.get_counter("late_replies") == 0
-        assert server.metrics.get_counter("requests_completed") == 0
+        assert server.counts["late_replies"] == 0
+        assert server.counts["requests_completed"] == 0
 
     def test_crash_mid_transfer(self):
         env, _mds, server, _request, outcomes = self.start()
@@ -302,7 +348,7 @@ class TestServiceLifecycle:
         env.run()
         assert len(outcomes) == 1
         assert isinstance(outcomes[0].value, ServerCrashed)
-        assert server.metrics.get_counter("requests_failed_crash") == 1
+        assert server.counts["requests_failed_crash"] == 1
         self.assert_settled(server)
         assert server.link.bytes_transferred == self.SIZE  # in flight: drains
 
@@ -314,7 +360,7 @@ class TestServiceLifecycle:
         env.run()
         assert cancelled == [True]
         assert outcomes == [] and not request.reply.triggered
-        assert server.metrics.get_counter("requests_cancelled") == 1
+        assert server.counts["requests_cancelled"] == 1
         self.assert_settled(server)
         assert server.link.bytes_transferred == self.SIZE
 
@@ -325,7 +371,7 @@ class TestServiceLifecycle:
         env.run()
         assert len(outcomes) == 1
         assert isinstance(outcomes[0].value, DeadlineExceeded)
-        assert server.metrics.get_counter("deadline_expired") == 1
+        assert server.counts["deadline_expired"] == 1
         self.assert_settled(server)
         assert server.link.bytes_transferred == self.SIZE
 

@@ -94,8 +94,8 @@ class TestClientWrites:
             mds.lookup("/w").read_bytes_as_array(0, 1 * MB), payload
         )
         # Both servers moved half the bytes.
-        assert servers[0].metrics.get_counter("bytes_streamed") == 512 * 1024
-        assert servers[1].metrics.get_counter("bytes_streamed") == 512 * 1024
+        assert servers[0].counts["bytes_streamed"] == 512 * 1024
+        assert servers[1].counts["bytes_streamed"] == 512 * 1024
 
     def test_partial_offset_write(self):
         env, mds, servers, client = build()

@@ -75,7 +75,7 @@ class TestAdmission:
         second.reply.defuse()
         assert second.reply.triggered and not second.reply.ok
         assert isinstance(second.reply.value, ServerOverloaded)
-        assert server.metrics.get_counter("requests_overloaded") == 1
+        assert server.counts["requests_overloaded"] == 1
         assert first.rid in server.outstanding
 
     def test_active_arrival_shed_to_demoted_reply(self):
@@ -87,7 +87,7 @@ class TestAdmission:
         reply = active.reply.value
         assert not reply.completed
         assert active.rid not in server.outstanding
-        assert server.metrics.get_counter("requests_shed") == 1
+        assert server.counts["requests_shed"] == 1
 
     def test_normal_read_demotes_queued_active_to_make_room(self):
         env, server, fh = build(max_queue_depth=2)
@@ -101,8 +101,8 @@ class TestAdmission:
         # demoted to free the slot, the normal read got in.
         assert active.reply.triggered and not active.reply.value.completed
         assert normal.rid in server.outstanding
-        assert server.metrics.get_counter("requests_shed_queued") == 1
-        assert server.metrics.get_counter("requests_overloaded") == 0
+        assert server.counts["requests_shed_queued"] == 1
+        assert server.counts["requests_overloaded"] == 0
 
 
 class TestDeadlines:
@@ -112,7 +112,7 @@ class TestDeadlines:
         server.submit(request)
         request.reply.defuse()
         assert isinstance(request.reply.value, DeadlineExceeded)
-        assert server.metrics.get_counter("deadline_rejected") == 1
+        assert server.counts["deadline_rejected"] == 1
         assert request.rid not in server.outstanding
 
     def test_queued_work_expires_at_its_deadline(self):
@@ -122,7 +122,7 @@ class TestDeadlines:
         request.reply.defuse()
         env.run(until=env.timeout(1.0))
         assert isinstance(request.reply.value, DeadlineExceeded)
-        assert server.metrics.get_counter("deadline_expired") == 1
+        assert server.counts["deadline_expired"] == 1
         assert request.rid not in server.outstanding
         assert request.rid in server.active_handler.aborted
 
@@ -134,4 +134,4 @@ class TestDeadlines:
         assert request.reply.value.completed
         assert not server._deadline_timers
         env.run(until=env.timeout(20.0))  # past the deadline: no expiry
-        assert server.metrics.get_counter("deadline_expired") == 0
+        assert server.counts["deadline_expired"] == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.asc import RetryPolicy
 from repro.scenario import (
     BUILTIN,
     Scenario,
@@ -191,6 +192,20 @@ class TestCrossFieldRules:
                 "name": "x",
                 "workload": {"tenants": [{"name": "a"}, {"name": "a"}]},
             }, source="")
+
+    def test_retry_parses_into_the_engine_policy(self):
+        sc = scenario_from_dict({"name": "x", "retry": {"timeout": 9.0}})
+        assert sc.retry == RetryPolicy(timeout=9.0)
+
+    def test_backoff_cap_below_base_fails_at_parse(self):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(
+                {"name": "x",
+                 "retry": {"backoff_base": 1.0, "backoff_cap": 0.5}},
+                source="f.yaml",
+            )
+        assert err.value.path == "f.yaml: retry"
+        assert err.value.reason == "backoff_cap must be >= backoff_base"
 
     def test_replicas_bounded_by_storage(self):
         with pytest.raises(ScenarioError):
