@@ -230,7 +230,7 @@ class ResultCache:
 
         An entry that exists but cannot be read or decoded degrades to
         a miss *observably*: it increments ``corrupt_entries`` and
-        emits a debug log naming the entry and the cause, so a
+        logs a warning naming the entry and the cause, so a
         corrupted cache directory shows up instead of masquerading as
         a cold cache.
         """
@@ -257,7 +257,7 @@ class ResultCache:
         """Count + log a corrupt entry, then treat it as a miss."""
         self.misses += 1
         self.corrupt_entries += 1
-        _log.debug("result cache: %s %s treated as a miss: %s: %s",
+        _log.warning("result cache: %s %s treated as a miss: %s: %s",
                    why, path, type(exc).__name__, exc)
 
     def put(self, key: str, result: SchemeResult) -> None:

@@ -341,8 +341,9 @@ def cmd_sweep(args, out=None) -> int:
 
     ``--jobs N`` fans the grid's independent simulations across N
     worker processes; ``--cache DIR`` memoises completed points so a
-    re-run only simulates what changed.  Results are identical to the
-    serial, uncached run.
+    re-run only simulates what changed, and ends with one stderr line
+    of the cache's hits, misses, stores and corrupt entries.  Results
+    are identical to the serial, uncached run.
     """
     out = out if out is not None else sys.stdout
     series = figure_series(
@@ -740,7 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the figure's sweep")
     p.add_argument("--cache", metavar="DIR",
-                   help="memoise completed sweep points in DIR")
+                   help="memoise completed sweep points in DIR and report "
+                        "the cache's hits and misses on stderr")
     p.add_argument("--chart", action="store_true",
                    help="draw a terminal line chart instead of a table")
     p.add_argument("--json", action="store_true",
@@ -798,7 +800,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the sweep (1 = in-process)")
     p.add_argument("--cache", metavar="DIR",
-                   help="memoise completed sweep points in DIR")
+                   help="memoise completed sweep points in DIR and report "
+                        "the cache's hits and misses on stderr")
     p.add_argument("--chart", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)

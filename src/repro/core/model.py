@@ -38,12 +38,13 @@ requesting compute nodes (the max-term z).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
-import numpy.typing as npt
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.kernels.costs import KernelCostModel
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+    import numpy.typing as npt
 
 
 @dataclass(frozen=True)
@@ -219,21 +220,29 @@ class SchedulingInstance:
     @property
     def sizes(self) -> npt.NDArray[np.float64]:
         """d vector."""
+        import numpy as np
+
         return np.array([c.d_i for c in self.costs], dtype=np.float64)
 
     @property
     def x(self) -> npt.NDArray[np.float64]:
         """x vector (Eq. 5)."""
+        import numpy as np
+
         return np.array([c.x_i for c in self.costs], dtype=np.float64)
 
     @property
     def y(self) -> npt.NDArray[np.float64]:
         """y vector (Eq. 6)."""
+        import numpy as np
+
         return np.array([c.y_i for c in self.costs], dtype=np.float64)
 
     @property
     def w(self) -> npt.NDArray[np.float64]:
         """w vector: per-request client compute time (Eq. 7's operand)."""
+        import numpy as np
+
         return np.array([c.w_i for c in self.costs], dtype=np.float64)
 
     def value(self, assignment: Sequence[int]) -> float:

@@ -38,8 +38,6 @@ import abc
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.model import SchedulingInstance
 
 
@@ -112,6 +110,8 @@ class ExhaustiveScheduler(Scheduler):
                 f"exhaustive enumeration over 2^{k} assignments refused "
                 f"(max_k={self.max_k}); use BranchAndBound or Threshold"
             )
+        import numpy as np
+
         m = 1 << k
         # A[i, j] = bit i of column index j — every unique combination,
         # satisfying the paper's A_j ≠ A_p requirement by construction.
@@ -205,6 +205,8 @@ class BranchAndBoundScheduler(Scheduler):
         k = instance.k
         if k == 0:
             return self._empty()
+        import numpy as np
+
         order = np.argsort(-instance.w, kind="stable")
         w = instance.w[order]
         x = instance.x[order]

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class KernelExecutionError(Exception):
@@ -35,9 +36,15 @@ class KernelState:
     stored, so the state is always checkpointable.
     """
 
-    _ALLOWED = (int, float, bool, str, bytes, np.ndarray, np.generic)
+    #: The storable types, built by the first state so that importing
+    #: this module does not load numpy.
+    _ALLOWED: Tuple[type, ...] = ()
 
     def __init__(self) -> None:
+        if not KernelState._ALLOWED:
+            import numpy as np
+
+            KernelState._ALLOWED = (int, float, bool, str, bytes, np.ndarray, np.generic)
         self._vars: Dict[str, Any] = {}
 
     def __setitem__(self, name: str, value: Any) -> None:
@@ -102,6 +109,8 @@ class KernelCheckpoint:
     @staticmethod
     def capture(kernel_name: str, bytes_done: int, state: KernelState) -> "KernelCheckpoint":
         """Snapshot ``state`` into an immutable checkpoint."""
+        import numpy as np
+
         records = []
         for name, value in state.items():
             if isinstance(value, np.ndarray):
@@ -114,6 +123,8 @@ class KernelCheckpoint:
 
     def restore(self) -> KernelState:
         """Rebuild a live :class:`KernelState` from the records."""
+        import numpy as np
+
         state = KernelState()
         for name, _typ, value in self.records:
             state[name] = value.copy() if isinstance(value, np.ndarray) else value
@@ -122,6 +133,10 @@ class KernelCheckpoint:
     @property
     def nbytes(self) -> int:
         """Approximate wire size of the checkpoint payload."""
+        if not self.records:  # a timing-only run's checkpoint
+            return 0
+        import numpy as np
+
         total = 0
         for name, typ, value in self.records:
             total += len(name) + len(typ)
@@ -159,8 +174,9 @@ class Kernel(abc.ABC):
     name: str = ""
     #: Default single-core rate (bytes/s); see Table III.
     default_rate: float = 100 * 1024 * 1024
-    #: numpy dtype the kernel consumes.
-    dtype: np.dtype = np.dtype(np.float64)
+    #: Name of the numpy dtype the kernel consumes.  A name, not a
+    #: ``np.dtype``, so that defining a kernel does not load numpy.
+    dtype: str = "float64"
     #: Filter kernels whose full-size output is written back to the
     #: parallel file system at the producing node (Son et al. [22]
     #: convention) — only an acknowledgement crosses the network.
@@ -213,6 +229,8 @@ class Kernel(abc.ABC):
     # -- convenience -------------------------------------------------------
     def apply(self, data: np.ndarray, meta: Optional[dict] = None, chunk_elems: int = 1 << 20) -> Any:
         """Run the full streaming pipeline over ``data`` in one call."""
+        import numpy as np
+
         flat = np.ascontiguousarray(data).reshape(-1).view(self.dtype)
         state = self.init_state(meta)
         for start in range(0, flat.size, chunk_elems):

@@ -13,21 +13,24 @@ shapes are host-independent), but EXPERIMENTS.md records both.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.kernels.base import Kernel
 from repro.kernels.costs import MB, PAPER_RATES
 
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
 
 def _make_input(kernel: Kernel, nbytes: int, width: int) -> Tuple[np.ndarray, Optional[dict]]:
     """Synthesize calibration input of ``nbytes`` for ``kernel``."""
+    import numpy as np
+
     rng = np.random.default_rng(12345)
-    if kernel.dtype == np.dtype(np.uint8):
+    if np.dtype(kernel.dtype) == np.dtype(np.uint8):
         data = rng.integers(0, 255, size=nbytes, dtype=np.uint8)
         return data, None
-    n_elems = nbytes // kernel.dtype.itemsize
+    n_elems = nbytes // np.dtype(kernel.dtype).itemsize
     if kernel.name in ("gaussian2d", "sobel"):
         rows = max(3, n_elems // width)
         data = rng.random(rows * width, dtype=np.float64)

@@ -8,12 +8,13 @@ replace them with measured host rates.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
-
-import numpy as np
+from typing import Any, Optional, Sequence, TYPE_CHECKING
 
 from repro.kernels.base import Kernel, KernelExecutionError, KernelState
 from repro.kernels.costs import MB, ack_result, reduction_result
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class MinMaxKernel(Kernel):
@@ -21,7 +22,7 @@ class MinMaxKernel(Kernel):
 
     name = "minmax"
     default_rate = 800 * MB
-    dtype = np.dtype(np.float64)
+    dtype = "float64"
 
     def result_bytes(self, input_bytes: float) -> float:
         return 16.0
@@ -33,6 +34,8 @@ class MinMaxKernel(Kernel):
         return state
 
     def process_chunk(self, state: KernelState, chunk: np.ndarray) -> None:
+        import numpy as np
+
         if chunk.size:
             state["min"] = min(state["min"], float(np.min(chunk)))
             state["max"] = max(state["max"], float(np.max(chunk)))
@@ -52,7 +55,7 @@ class MeanKernel(Kernel):
 
     name = "mean"
     default_rate = 800 * MB
-    dtype = np.dtype(np.float64)
+    dtype = "float64"
 
     def result_bytes(self, input_bytes: float) -> float:
         return 16.0
@@ -64,6 +67,8 @@ class MeanKernel(Kernel):
         return state
 
     def process_chunk(self, state: KernelState, chunk: np.ndarray) -> None:
+        import numpy as np
+
         state["total"] = state["total"] + float(np.sum(chunk, dtype=np.float64))
         state["count"] = state["count"] + int(chunk.size)
 
@@ -84,7 +89,7 @@ class VarianceKernel(Kernel):
 
     name = "variance"
     default_rate = 500 * MB
-    dtype = np.dtype(np.float64)
+    dtype = "float64"
 
     def result_bytes(self, input_bytes: float) -> float:
         return 24.0
@@ -97,6 +102,8 @@ class VarianceKernel(Kernel):
         return state
 
     def process_chunk(self, state: KernelState, chunk: np.ndarray) -> None:
+        import numpy as np
+
         nb = int(chunk.size)
         if nb == 0:
             return
@@ -135,7 +142,7 @@ class HistogramKernel(Kernel):
 
     name = "histogram"
     default_rate = 400 * MB
-    dtype = np.dtype(np.float64)
+    dtype = "float64"
 
     def __init__(self, rate: Optional[float] = None, bins: int = 64,
                  lo: float = 0.0, hi: float = 1.0) -> None:
@@ -152,11 +159,15 @@ class HistogramKernel(Kernel):
         return float(self.bins * 8)
 
     def init_state(self, meta: Optional[dict] = None) -> KernelState:
+        import numpy as np
+
         state = KernelState()
         state["counts"] = np.zeros(self.bins, dtype=np.int64)
         return state
 
     def process_chunk(self, state: KernelState, chunk: np.ndarray) -> None:
+        import numpy as np
+
         counts, _edges = np.histogram(chunk, bins=self.bins, range=(self.lo, self.hi))
         state["counts"] = state["counts"] + counts
 
@@ -164,6 +175,8 @@ class HistogramKernel(Kernel):
         return state["counts"].copy()
 
     def combine(self, partials: Sequence[Any]) -> np.ndarray:
+        import numpy as np
+
         out = np.zeros(self.bins, dtype=np.int64)
         for p in partials:
             out += p
@@ -175,7 +188,7 @@ class ThresholdCountKernel(Kernel):
 
     name = "threshold_count"
     default_rate = 700 * MB
-    dtype = np.dtype(np.float64)
+    dtype = "float64"
 
     def __init__(self, rate: Optional[float] = None, threshold: float = 0.5) -> None:
         super().__init__(rate)
@@ -190,6 +203,8 @@ class ThresholdCountKernel(Kernel):
         return state
 
     def process_chunk(self, state: KernelState, chunk: np.ndarray) -> None:
+        import numpy as np
+
         state["count"] = state["count"] + int(np.count_nonzero(chunk > self.threshold))
 
     def finalize(self, state: KernelState) -> int:
@@ -210,13 +225,15 @@ class SobelKernel(Kernel):
 
     name = "sobel"
     default_rate = 60 * MB
-    dtype = np.dtype(np.float64)
+    dtype = "float64"
     writes_output = True
 
     def result_bytes(self, input_bytes: float) -> float:
         return ack_result(input_bytes)
 
     def init_state(self, meta: Optional[dict] = None) -> KernelState:
+        import numpy as np
+
         if not meta or "width" not in meta:
             raise KernelExecutionError("sobel needs meta={'width': <pixels per row>}")
         width = int(meta["width"])
@@ -235,6 +252,8 @@ class SobelKernel(Kernel):
     @staticmethod
     def _sobel_rows(block: np.ndarray, top: Optional[np.ndarray],
                     bottom: Optional[np.ndarray]) -> np.ndarray:
+        import numpy as np
+
         rows = [block]
         rows.insert(0, top.reshape(1, -1) if top is not None else block[:1])
         rows.append(bottom.reshape(1, -1) if bottom is not None else block[-1:])
@@ -252,6 +271,8 @@ class SobelKernel(Kernel):
         return np.hypot(gx, gy)
 
     def process_chunk(self, state: KernelState, chunk: np.ndarray) -> None:
+        import numpy as np
+
         width = state["width"]
         data = np.concatenate([state["leftover"], np.asarray(chunk, dtype=np.float64)])
         nrows = data.size // width
@@ -279,6 +300,8 @@ class SobelKernel(Kernel):
         state["pending_rows"] = 1
 
     def finalize(self, state: KernelState) -> np.ndarray:
+        import numpy as np
+
         width = state["width"]
         if state["leftover"].size:
             raise KernelExecutionError("input was not a whole number of rows")
@@ -293,6 +316,8 @@ class SobelKernel(Kernel):
 
     def reference(self, image: np.ndarray) -> np.ndarray:
         """One-shot Sobel magnitude of a whole image (test oracle)."""
+        import numpy as np
+
         return self._sobel_rows(np.asarray(image, dtype=np.float64), None, None)
 
 
@@ -305,7 +330,7 @@ class WordCountKernel(Kernel):
 
     name = "wordcount"
     default_rate = 300 * MB
-    dtype = np.dtype(np.uint8)
+    dtype = "uint8"
 
     _WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
 
@@ -319,6 +344,8 @@ class WordCountKernel(Kernel):
         return state
 
     def process_chunk(self, state: KernelState, chunk: np.ndarray) -> None:
+        import numpy as np
+
         if chunk.size == 0:
             return
         data = np.asarray(chunk, dtype=np.uint8)

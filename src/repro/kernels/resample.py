@@ -9,12 +9,13 @@ AS-vs-TS crossover, which the kernel-spectrum ablation bench sweeps.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
-
-import numpy as np
+from typing import Any, Optional, Sequence, TYPE_CHECKING
 
 from repro.kernels.base import Kernel, KernelExecutionError, KernelState
 from repro.kernels.costs import MB
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class DownsampleKernel(Kernel):
@@ -26,7 +27,7 @@ class DownsampleKernel(Kernel):
 
     name = "downsample"
     default_rate = 600 * MB
-    dtype = np.dtype(np.float64)
+    dtype = "float64"
 
     def __init__(self, rate: Optional[float] = None, factor: int = 8) -> None:
         super().__init__(rate)
@@ -38,6 +39,8 @@ class DownsampleKernel(Kernel):
         return float(input_bytes) / self.factor
 
     def init_state(self, meta: Optional[dict] = None) -> KernelState:
+        import numpy as np
+
         state = KernelState()
         #: Elements consumed so far (mod factor drives the phase).
         state["consumed"] = 0
@@ -45,6 +48,8 @@ class DownsampleKernel(Kernel):
         return state
 
     def process_chunk(self, state: KernelState, chunk: np.ndarray) -> None:
+        import numpy as np
+
         if chunk.size == 0:
             return
         consumed = state["consumed"]
@@ -59,6 +64,8 @@ class DownsampleKernel(Kernel):
         return state["output"].copy()
 
     def combine(self, partials: Sequence[Any]) -> np.ndarray:
+        import numpy as np
+
         # Per-server partials arrive in logical stripe order; phases
         # are only globally consistent for unstriped requests, so the
         # concatenation is exact per server and approximate across
@@ -67,4 +74,6 @@ class DownsampleKernel(Kernel):
 
     def reference(self, data: np.ndarray) -> np.ndarray:
         """One-shot oracle for tests."""
+        import numpy as np
+
         return np.asarray(data, dtype=np.float64).reshape(-1)[:: self.factor]

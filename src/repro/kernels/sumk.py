@@ -8,12 +8,13 @@ Its 860 MB/s/core rate is far above the 118 MB/s network, which is why
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
-
-import numpy as np
+from typing import Any, Optional, Sequence, TYPE_CHECKING
 
 from repro.kernels.base import Kernel, KernelState
 from repro.kernels.costs import PAPER_RATES, reduction_result
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class SumKernel(Kernel):
@@ -21,7 +22,7 @@ class SumKernel(Kernel):
 
     name = "sum"
     default_rate = PAPER_RATES["sum"]
-    dtype = np.dtype(np.float64)
+    dtype = "float64"
 
     def result_bytes(self, input_bytes: float) -> float:
         return reduction_result(input_bytes)
@@ -33,6 +34,8 @@ class SumKernel(Kernel):
         return state
 
     def process_chunk(self, state: KernelState, chunk: np.ndarray) -> None:
+        import numpy as np
+
         # float(...) keeps the accumulator a checkpointable Python
         # scalar; numpy's pairwise summation handles the chunk.
         state["acc"] = state["acc"] + float(np.sum(chunk, dtype=np.float64))

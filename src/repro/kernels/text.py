@@ -9,12 +9,13 @@ server-side pre-filter a compression pipeline runs.  Both stream over
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
-
-import numpy as np
+from typing import Any, Optional, Sequence, TYPE_CHECKING
 
 from repro.kernels.base import Kernel, KernelExecutionError, KernelState
 from repro.kernels.costs import MB, reduction_result
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class GrepKernel(Kernel):
@@ -27,7 +28,7 @@ class GrepKernel(Kernel):
 
     name = "grep"
     default_rate = 400 * MB
-    dtype = np.dtype(np.uint8)
+    dtype = "uint8"
 
     def __init__(self, rate: Optional[float] = None, pattern: bytes = b"the") -> None:
         super().__init__(rate)
@@ -39,6 +40,8 @@ class GrepKernel(Kernel):
         return reduction_result(input_bytes)
 
     def init_state(self, meta: Optional[dict] = None) -> KernelState:
+        import numpy as np
+
         state = KernelState()
         state["matches"] = 0
         state["carry"] = np.empty(0, dtype=np.uint8)
@@ -47,6 +50,8 @@ class GrepKernel(Kernel):
     @staticmethod
     def _count(haystack: np.ndarray, needle: bytes) -> int:
         """Overlapping-occurrence count via a boolean AND reduction."""
+        import numpy as np
+
         n = len(needle)
         if haystack.size < n:
             return 0
@@ -58,6 +63,8 @@ class GrepKernel(Kernel):
         return int(np.count_nonzero(hits))
 
     def process_chunk(self, state: KernelState, chunk: np.ndarray) -> None:
+        import numpy as np
+
         if chunk.size == 0:
             return
         data = np.concatenate([state["carry"], np.asarray(chunk, dtype=np.uint8)])
@@ -79,6 +86,8 @@ class GrepKernel(Kernel):
 
     def reference(self, data: np.ndarray) -> int:
         """One-shot oracle for tests."""
+        import numpy as np
+
         return self._count(np.asarray(data, dtype=np.uint8), self.pattern)
 
 
@@ -91,17 +100,21 @@ class EntropyKernel(Kernel):
 
     name = "entropy"
     default_rate = 350 * MB
-    dtype = np.dtype(np.uint8)
+    dtype = "uint8"
 
     def result_bytes(self, input_bytes: float) -> float:
         return 256 * 8 + 8.0
 
     def init_state(self, meta: Optional[dict] = None) -> KernelState:
+        import numpy as np
+
         state = KernelState()
         state["counts"] = np.zeros(256, dtype=np.int64)
         return state
 
     def process_chunk(self, state: KernelState, chunk: np.ndarray) -> None:
+        import numpy as np
+
         if chunk.size:
             state["counts"] = state["counts"] + np.bincount(
                 np.asarray(chunk, dtype=np.uint8), minlength=256
@@ -109,6 +122,8 @@ class EntropyKernel(Kernel):
 
     @staticmethod
     def _entropy(counts: np.ndarray) -> float:
+        import numpy as np
+
         total = counts.sum()
         if total == 0:
             return 0.0
@@ -120,6 +135,8 @@ class EntropyKernel(Kernel):
         return (self._entropy(counts), counts)
 
     def combine(self, partials: Sequence[Any]) -> tuple:
+        import numpy as np
+
         counts = np.zeros(256, dtype=np.int64)
         for _e, c in partials:
             counts += c

@@ -172,6 +172,10 @@ class SweepRunner:
                     tick(points[i], False)
 
         assert all(r is not None for r in results)
+        if self.cache is not None:
+            c = self.cache
+            self._say(f"result cache {c.root}: {c.hits} hits, {c.misses} misses, "
+                      f"{c.stores} stores, {c.corrupt_entries} corrupt")
         return results  # type: ignore[return-value]
 
     def _finish(

@@ -149,9 +149,9 @@ class PVFSClient:
         request receives the slice matching its stripes; ``None``
         performs a timing-only write.
         """
-        import numpy as np
-
         if data is not None:
+            import numpy as np
+
             data = np.ascontiguousarray(data)
             size = data.nbytes if size is None else size
         size = fh.size - offset if size is None else size

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, TYPE_CHECKING
 
-import numpy as np
-import numpy.typing as npt
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+    import numpy.typing as npt
 
 
 class SyntheticData:
@@ -39,6 +40,8 @@ class SyntheticData:
         self.seed = int(seed)
 
     def _block(self, index: int) -> np.ndarray:
+        import numpy as np
+
         rng = np.random.Generator(
             np.random.Philox(key=(self.seed << 32) ^ index)
         )
@@ -46,6 +49,8 @@ class SyntheticData:
 
     def read(self, offset: int, size: int) -> np.ndarray:
         """float64 elements for bytes ``[offset, offset+size)``."""
+        import numpy as np
+
         if offset % self.ITEMSIZE or size % self.ITEMSIZE:
             raise ValueError("synthetic reads must be 8-byte aligned")
         start = offset // self.ITEMSIZE
@@ -98,9 +103,11 @@ class PVFSFile:
             )
 
     def read_bytes_as_array(
-        self, offset: int, size: int, dtype: npt.DTypeLike = np.float64
+        self, offset: int, size: int, dtype: npt.DTypeLike = "float64"
     ) -> np.ndarray:
         """Materialise the extent ``[offset, offset+size)`` as an array."""
+        import numpy as np
+
         if offset < 0 or size < 0 or offset + size > self.size:
             raise ValueError(
                 f"extent [{offset}, {offset + size}) outside file of size {self.size}"
@@ -110,7 +117,7 @@ class PVFSFile:
             return flat[offset : offset + size].view(dtype).copy()
         if self.synthetic is not None:
             arr = self.synthetic.read(offset, size)
-            return arr.view(dtype) if dtype != np.float64 else arr
+            return arr.view(dtype) if np.dtype(dtype) != np.float64 else arr
         raise ValueError(f"file {self.name!r} is size-only and has no provider")
 
     def write_bytes_from_array(self, offset: int, array: np.ndarray) -> int:
@@ -119,6 +126,8 @@ class PVFSFile:
         Only content-backed (writable) files accept writes — a
         synthetic provider is immutable by construction.
         """
+        import numpy as np
+
         payload = np.ascontiguousarray(array).reshape(-1).view(np.uint8)
         if offset < 0 or offset + payload.size > self.size:
             raise ValueError(

@@ -9,12 +9,13 @@ exists for ablations).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.pvfs.filehandle import FileHandle, PVFSFile, SyntheticData
 from repro.pvfs.layout import StripeLayout
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class PVFSError(Exception):
@@ -62,6 +63,8 @@ class MetadataServer:
         if writable and data is None:
             if size % 8:
                 raise PVFSError("writable files must be 8-byte sized")
+            import numpy as np
+
             data = np.zeros(size // 8, dtype=np.float64)
         width = min(n_servers or self.n_io_servers, self.n_io_servers)
         if not 0 <= first_server < self.n_io_servers:

@@ -18,13 +18,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple, TYPE_CHECKING
 
-import numpy as np
-import numpy.typing as npt
-
 from repro.kernels.base import KernelCheckpoint
 from repro.pvfs.filehandle import FileHandle, PVFSFile
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+    import numpy.typing as npt
+
     from repro.sim.events import Event
 
 
@@ -98,9 +98,11 @@ def read_extent_stream(
     extents: Tuple[Tuple[int, int], ...],
     start: int,
     length: int,
-    dtype: npt.DTypeLike = np.float64,
+    dtype: npt.DTypeLike = "float64",
 ) -> np.ndarray:
     """Materialise ``[start, start+length)`` of the extent stream."""
+    import numpy as np
+
     pieces = [
         file.read_bytes_as_array(off, nbytes, dtype=dtype)
         for off, nbytes in slice_extents(extents, start, length)
@@ -201,7 +203,7 @@ class IORequest:
         return self.kind is IOKind.ACTIVE
 
     def read_stream(
-        self, file: PVFSFile, start: int, length: int, dtype: npt.DTypeLike = np.float64
+        self, file: PVFSFile, start: int, length: int, dtype: npt.DTypeLike = "float64"
     ) -> np.ndarray:
         """Read ``[start, start+length)`` of this request's data stream."""
         return read_extent_stream(file, self.extents, start, length, dtype)

@@ -274,3 +274,42 @@ class TestResultCache:
         plan = RequestPlan(requests=[_request(0)])
         assert point_key(Scheme.AS, spec, plan, salt="s") != base
         assert point_key(Scheme.AS, spec, salt="s") == base
+
+
+# ------------------------------------------------------------ the CLI report
+class TestCliCacheReport:
+    """``repro sweep --cache DIR`` ends by reporting the cache's counters
+    on stderr, so a warm run is told apart from a cold one."""
+
+    ARGS = ["sweep", "--kernel", "sum", "--mb", "8"]
+
+    @staticmethod
+    def _sweep(cache_dir, capsys):
+        from repro.cli import main
+
+        assert main(TestCliCacheReport.ARGS + ["--cache", str(cache_dir)]) == 0
+        captured = capsys.readouterr()
+        return captured.out, captured.err.splitlines()
+
+    def test_warm_run_reports_hits_and_keeps_stdout(self, tmp_path, capsys):
+        cache_dir = tmp_path / "c"
+        cold_out, cold_err = self._sweep(cache_dir, capsys)
+        warm_out, warm_err = self._sweep(cache_dir, capsys)
+        assert cold_err[-1].endswith(
+            f"result cache {cache_dir}: 0 hits, 21 misses, 21 stores, 0 corrupt")
+        assert warm_err[-1].endswith(
+            f"result cache {cache_dir}: 21 hits, 0 misses, 0 stores, 0 corrupt")
+        assert len(warm_err) == 1
+        assert warm_out == cold_out
+
+    def test_corrupt_entry_is_reported_and_warned(self, tmp_path, capsys, caplog):
+        cache_dir = tmp_path / "c"
+        self._sweep(cache_dir, capsys)
+        entry = sorted(cache_dir.glob("*/*.json"))[0]
+        entry.write_text("garbage", encoding="utf-8")
+        with caplog.at_level("WARNING", logger="repro.cache"):
+            _out, err = self._sweep(cache_dir, capsys)
+        assert err[-1].endswith("20 hits, 1 misses, 1 stores, 1 corrupt")
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert str(entry) in warnings[0].getMessage()
